@@ -8,24 +8,43 @@
 //! irrelevant because the TRRS takes a magnitude.
 
 use rim_dsp::complex::Complex64;
-use rim_dsp::stats::linear_fit;
+use rim_dsp::stats::{linear_fit, wrap_angle};
+use std::cell::RefCell;
 
 /// Unwraps a phase sequence: adds multiples of 2π so consecutive samples
 /// never jump by more than π.
+///
+/// Jumps are closed one 2π turn at a time. A jump of more than 65,536
+/// turns, or one that subtracting 2π cannot shrink because the values are
+/// too large for it to change them, is reduced in closed form instead, so
+/// the function returns for every input. A non-finite entry passes
+/// through unchanged, and so does the entry after it, which has no finite
+/// neighbour to unwrap against.
 pub fn unwrap_phase(phases: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(phases.len());
+    use std::f64::consts::{PI, TAU};
+    let mut out: Vec<f64> = Vec::with_capacity(phases.len());
     let mut offset = 0.0;
     for (i, &p) in phases.iter().enumerate() {
         if i > 0 {
             let prev = out[i - 1];
             let mut cur = p + offset;
-            while cur - prev > std::f64::consts::PI {
-                cur -= std::f64::consts::TAU;
-                offset -= std::f64::consts::TAU;
+            // False for NaN and infinite jumps.
+            if (cur - prev).abs() <= f64::from(UNWRAP_LOOP_TURNS) * TAU {
+                let mut turns = UNWRAP_LOOP_TURNS + 1;
+                while cur - prev > PI && turns > 0 {
+                    cur -= TAU;
+                    offset -= TAU;
+                    turns -= 1;
+                }
+                while cur - prev < -PI && turns > 0 {
+                    cur += TAU;
+                    offset += TAU;
+                    turns -= 1;
+                }
             }
-            while cur - prev < -std::f64::consts::PI {
-                cur += std::f64::consts::TAU;
-                offset += std::f64::consts::TAU;
+            if (cur - prev).abs() > PI && cur.is_finite() && prev.is_finite() {
+                cur = prev + wrap_angle(wrap_angle(cur) - wrap_angle(prev));
+                offset = cur - p;
             }
             out.push(cur);
         } else {
@@ -34,6 +53,10 @@ pub fn unwrap_phase(phases: &[f64]) -> Vec<f64> {
     }
     out
 }
+
+/// Turns [`unwrap_phase`] steps through one at a time before it reduces a
+/// jump in closed form. Phases from `arg()` jump by at most one turn.
+const UNWRAP_LOOP_TURNS: u32 = 1 << 16;
 
 /// Removes the best-fit linear phase (slope over subcarrier index and
 /// intercept) from a CFR in place.
@@ -72,14 +95,6 @@ pub fn sanitize_matched_delay(cfr: &mut [Complex64], indices: &[i32]) {
     if cfr.len() < 2 || cfr.len() != indices.len() {
         return;
     }
-    // Objective on a β grid. The main lobe of |Σ H e^{-jβ idx}| is about
-    // 2π/span wide, where span is the index extent of the grid — so the
-    // search step must scale with the grid. A fixed step sized for the
-    // 56/114-entry layouts straddles VHT80's ±122-span lobe, and the
-    // slope error it leaves behind (a fraction of the step, amplified by
-    // the edge index) jitters the fingerprint packet to packet: a static
-    // antenna's self-TRRS sags toward the movement threshold and stops
-    // stop being detected.
     let eval = |beta: f64| -> f64 {
         let mut acc = rim_dsp::complex::ZERO;
         for (h, &i) in cfr.iter().zip(indices) {
@@ -87,26 +102,19 @@ pub fn sanitize_matched_delay(cfr: &mut [Complex64], indices: &[i32]) {
         }
         acc.norm_sqr()
     };
-    let span = (indices.iter().max().unwrap() - indices.iter().min().unwrap()).max(1) as f64;
-    let lobe = std::f64::consts::TAU / span;
-    // ≥4 coarse samples per main lobe guarantees the sampled maximum
-    // lands on it (the strongest sidelobe sits 13 dB down).
-    let coarse = (lobe / 4.0).min(0.02);
-    let range = 0.8f64;
-    let n_steps = (range / coarse).ceil() as i32;
-    let mut best = (0.0f64, f64::NEG_INFINITY);
-    for s in -n_steps..=n_steps {
-        let beta = s as f64 * coarse;
-        let v = eval(beta);
-        if v > best.1 {
-            best = (beta, v);
+    let (b0, coarse) = COARSE.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        if cache.as_ref().is_some_and(|t| t.indices != indices) {
+            *cache = None;
         }
-    }
+        cache
+            .get_or_insert_with(|| CoarseTwiddles::new(indices))
+            .argmax(cfr)
+    });
     // Fine pass across the coarse peak's neighbourhood, then parabolic
     // refinement at the fine step.
     let step = coarse / 8.0;
     let best = {
-        let b0 = best.0;
         let mut fine = (b0, f64::NEG_INFINITY);
         for s in -8..=8 {
             let beta = b0 + s as f64 * step;
@@ -137,43 +145,155 @@ pub fn sanitize_matched_delay(cfr: &mut [Complex64], indices: &[i32]) {
     }
 }
 
-/// A MIMO snapshot containing NaN or infinite CFR values, rejected by
-/// [`sanitize_snapshot`]. Non-finite amplitudes would otherwise survive
-/// sanitation (the matched-delay objective turns NaN into a flat-NaN
-/// CFR) and silently poison every TRRS downstream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NonFiniteCsi {
-    /// TX-antenna index of the offending CFR.
-    pub tx: usize,
-    /// Subcarrier position (index into the CFR) of the first non-finite
-    /// value.
-    pub subcarrier: usize,
+thread_local! {
+    /// The coarse twiddles of the grid this thread sanitized last.
+    static COARSE: RefCell<Option<CoarseTwiddles>> = const { RefCell::new(None) };
 }
 
-impl std::fmt::Display for NonFiniteCsi {
+/// The coarse β grid of one subcarrier grid and its twiddle matrix
+/// `e^{−jβ_s·idx_k}`. Neither depends on the packet, so building the
+/// matrix once per grid leaves the coarse search only multiply–adds.
+struct CoarseTwiddles {
+    /// The subcarrier indices the grid was built for.
+    indices: Vec<i32>,
+    /// Coarse β step, rad/index.
+    step: f64,
+    /// β steps on either side of zero.
+    n_steps: i32,
+    /// `table[k * width + j] = cis(−β_j·idx_k)` with `β_j = (j − n_steps)·step`
+    /// and `width = 2·n_steps + 1`: one row per subcarrier.
+    table: Vec<Complex64>,
+}
+
+impl CoarseTwiddles {
+    /// Builds the grid for `indices` (at least one entry). The table holds
+    /// about span × `indices.len()` entries.
+    fn new(indices: &[i32]) -> Self {
+        let (lo, hi) = indices
+            .iter()
+            .fold((i32::MAX, i32::MIN), |(lo, hi), &i| (lo.min(i), hi.max(i)));
+        // The main lobe of |Σ H e^{-jβ idx}| is about 2π/span wide, where
+        // span is the index extent of the grid — so the search step must
+        // scale with the grid. A fixed step sized for the 56/114-entry
+        // layouts straddles VHT80's ±122-span lobe, and the slope error it
+        // leaves behind (a fraction of the step, amplified by the edge
+        // index) jitters the fingerprint packet to packet: a static
+        // antenna's self-TRRS sags toward the movement threshold and stops
+        // go undetected.
+        let span = (i64::from(hi) - i64::from(lo)).max(1) as f64;
+        let lobe = std::f64::consts::TAU / span;
+        // ≥4 coarse samples per main lobe guarantees the sampled maximum
+        // lands on it (the strongest sidelobe sits 13 dB down).
+        let step = (lobe / 4.0).min(0.02);
+        let range = 0.8f64;
+        let n_steps = (range / step).ceil() as i32;
+        let table = indices
+            .iter()
+            .flat_map(|&i| {
+                (-n_steps..=n_steps).map(move |s| Complex64::cis(-(s as f64 * step) * i as f64))
+            })
+            .collect();
+        Self {
+            indices: indices.to_vec(),
+            step,
+            n_steps,
+            table,
+        }
+    }
+
+    /// The coarse β maximising `|Σ_k H_k e^{−jβ·idx_k}|²` (the first on
+    /// ties, scanning β upwards), and the coarse step.
+    ///
+    /// Each accumulator sums over `k` in index order with the same complex
+    /// multiply and add as a direct evaluation, so every objective value,
+    /// and with it the chosen β, is bit-identical to evaluating the
+    /// twiddles on the fly.
+    fn argmax(&self, cfr: &[Complex64]) -> (f64, f64) {
+        let mut sums = vec![rim_dsp::complex::ZERO; 2 * self.n_steps as usize + 1];
+        for (h, row) in cfr.iter().zip(self.table.chunks_exact(sums.len())) {
+            for (acc, t) in sums.iter_mut().zip(row) {
+                *acc += *h * *t;
+            }
+        }
+        let mut best = (0.0f64, f64::NEG_INFINITY);
+        for (s, acc) in (-self.n_steps..).zip(&sums) {
+            let v = acc.norm_sqr();
+            if v > best.1 {
+                best = (s as f64 * self.step, v);
+            }
+        }
+        (best.0, self.step)
+    }
+}
+
+/// Why [`sanitize_snapshot`] rejected a MIMO snapshot. Either way the
+/// snapshot is left untouched so the caller can discard it as loss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SanitizeError {
+    /// A NaN or infinite CFR value. Non-finite amplitudes would otherwise
+    /// survive sanitation (the matched-delay objective turns NaN into a
+    /// flat-NaN CFR) and silently poison every TRRS downstream.
+    NonFinite {
+        /// TX-antenna index of the offending CFR.
+        tx: usize,
+        /// Subcarrier position (index into the CFR) of the first
+        /// non-finite value.
+        subcarrier: usize,
+    },
+    /// A CFR whose length differs from the subcarrier grid's. Its phase
+    /// cannot be sanitized against the grid, and an unsanitized CFR
+    /// among sanitized ones would corrupt the fingerprint.
+    Ragged {
+        /// TX-antenna index of the offending CFR.
+        tx: usize,
+        /// Entries in the CFR.
+        len: usize,
+        /// Entries in the subcarrier grid.
+        expected: usize,
+    },
+}
+
+impl std::fmt::Display for SanitizeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SanitizeError::NonFinite { tx, subcarrier } => write!(
+                f,
+                "non-finite CSI amplitude at tx {tx} subcarrier {subcarrier}"
+            )?,
+            SanitizeError::Ragged { tx, len, expected } => write!(
+                f,
+                "CFR at tx {tx} has {len} subcarriers but the grid has {expected}"
+            )?,
+        }
         write!(
             f,
-            "non-finite CSI amplitude at tx {} subcarrier {}; treat the \
-             packet as lost (the recorder maps rejected snapshots to loss \
-             so interpolation can repair them)",
-            self.tx, self.subcarrier
+            "; treat the packet as lost (the recorder maps rejected \
+             snapshots to loss so interpolation can repair them)"
         )
     }
 }
 
-impl std::error::Error for NonFiniteCsi {}
+impl std::error::Error for SanitizeError {}
 
 /// Sanitizes every CFR of a MIMO snapshot (`csi[tx][subcarrier]`) with the
 /// robust matched-delay method.
 ///
 /// # Errors
-/// [`NonFiniteCsi`] when any CFR entry is NaN or infinite; the snapshot
+/// [`SanitizeError::Ragged`] when a CFR's length differs from
+/// `indices.len()`, and [`SanitizeError::NonFinite`] when any CFR entry is
+/// NaN or infinite; the first offending TX is reported and the snapshot
 /// is left untouched so the caller can discard it as loss.
-pub fn sanitize_snapshot(csi: &mut [Vec<Complex64>], indices: &[i32]) -> Result<(), NonFiniteCsi> {
+pub fn sanitize_snapshot(csi: &mut [Vec<Complex64>], indices: &[i32]) -> Result<(), SanitizeError> {
     for (tx, cfr) in csi.iter().enumerate() {
+        if cfr.len() != indices.len() {
+            return Err(SanitizeError::Ragged {
+                tx,
+                len: cfr.len(),
+                expected: indices.len(),
+            });
+        }
         if let Some(subcarrier) = cfr.iter().position(|h| !h.is_finite()) {
-            return Err(NonFiniteCsi { tx, subcarrier });
+            return Err(SanitizeError::NonFinite { tx, subcarrier });
         }
     }
     for cfr in csi {
@@ -204,6 +324,32 @@ mod tests {
     fn unwrap_handles_empty_and_single() {
         assert!(unwrap_phase(&[]).is_empty());
         assert_eq!(unwrap_phase(&[1.2]), vec![1.2]);
+    }
+
+    #[test]
+    fn unwrap_returns_on_infinite_and_huge_jumps() {
+        // Subtracting 2π cannot change either value, so a turn-by-turn
+        // loop would never close these jumps.
+        let inf = unwrap_phase(&[0.0, f64::INFINITY]);
+        assert_eq!(inf[0], 0.0);
+        assert_eq!(inf[1], f64::INFINITY, "non-finite entries propagate");
+        let huge = unwrap_phase(&[0.0, 1e300]);
+        assert_eq!(huge[0], 0.0);
+        assert!(huge[1].abs() <= std::f64::consts::PI, "{}", huge[1]);
+        // The entries after either keep unwrapping.
+        let after = unwrap_phase(&[0.0, f64::NEG_INFINITY, 0.5, 0.7, 1e300, 1.1]);
+        assert_eq!(after[1], f64::NEG_INFINITY);
+        assert_eq!(after[2], 0.5);
+        assert_eq!(after[3], 0.7);
+        for w in after[3..].windows(2) {
+            assert!((w[1] - w[0]).abs() <= std::f64::consts::PI, "{after:?}");
+        }
+        // A value so large that 2π is below half its ulp, a small jump away.
+        let stuck = unwrap_phase(&[2f64.powi(56), 2f64.powi(56) + 16.0]);
+        assert!(
+            (stuck[1] - stuck[0]).abs() <= std::f64::consts::PI,
+            "{stuck:?}"
+        );
     }
 
     #[test]
@@ -330,7 +476,7 @@ mod tests {
         let err = sanitize_snapshot(&mut csi, &indices).unwrap_err();
         assert_eq!(
             err,
-            NonFiniteCsi {
+            SanitizeError::NonFinite {
                 tx: 1,
                 subcarrier: 5
             }
@@ -339,17 +485,47 @@ mod tests {
         assert!(err.to_string().contains("subcarrier 5"), "{err}");
         // Rejection leaves the snapshot untouched — even the clean TX 0
         // must not be half-sanitised.
-        for (a, b) in csi.iter().zip(&before) {
-            for (x, y) in a.iter().zip(b) {
-                assert!(
-                    (x.re == y.re || (x.re.is_nan() && y.re.is_nan())) && x.im == y.im,
-                    "unchanged on rejection"
-                );
+        let assert_untouched = |csi: &[Vec<Complex64>], before: &[Vec<Complex64>]| {
+            assert_eq!(csi.len(), before.len());
+            for (a, b) in csi.iter().zip(before) {
+                assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(b) {
+                    assert!(
+                        x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                        "unchanged on rejection"
+                    );
+                }
             }
-        }
+        };
+        assert_untouched(&csi, &before);
         let inf = vec![vec![Complex64::new(f64::INFINITY, 0.0); 16]];
         let mut inf_csi = inf.clone();
         assert!(sanitize_snapshot(&mut inf_csi, &indices).is_err());
+
+        // A ragged CFR — here the last TX is one subcarrier short — is
+        // rejected the same way, before any TX is sanitised.
+        let mut ragged = before.clone();
+        ragged[1][5] = Complex64::from_re(1.0);
+        ragged[1].pop();
+        let ragged_before = ragged.clone();
+        let err = sanitize_snapshot(&mut ragged, &indices).unwrap_err();
+        assert_eq!(
+            err,
+            SanitizeError::Ragged {
+                tx: 1,
+                len: 15,
+                expected: 16
+            }
+        );
+        assert!(err.to_string().contains("tx 1"), "{err}");
+        assert!(err.to_string().contains("15 subcarriers"), "{err}");
+        assert_untouched(&ragged, &ragged_before);
+        // A grid-length mismatch on every TX, short CFRs included.
+        let mut short = vec![vec![Complex64::from_re(1.0); 1]];
+        assert!(matches!(
+            sanitize_snapshot(&mut short, &indices),
+            Err(SanitizeError::Ragged { tx: 0, .. })
+        ));
     }
 
     #[test]

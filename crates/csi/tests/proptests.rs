@@ -1,9 +1,120 @@
 //! Property-based tests of the CSI layer.
 
 use proptest::prelude::*;
+use rim_channel::SubcarrierLayout;
 use rim_csi::frame::{CsiFrame, CsiSnapshot};
 use rim_csi::sanitize::{sanitize_matched_delay, unwrap_phase};
-use rim_dsp::complex::Complex64;
+use rim_dsp::complex::{Complex64, ZERO};
+
+/// Scalar reference for `sanitize_matched_delay`: every β of the coarse
+/// search is evaluated directly, one `cis` per subcarrier, with no
+/// twiddle table. The cached production path must match it bit for bit.
+fn matched_delay_direct(cfr: &mut [Complex64], indices: &[i32]) {
+    if cfr.len() < 2 || cfr.len() != indices.len() {
+        return;
+    }
+    let eval = |beta: f64| -> f64 {
+        let mut acc = ZERO;
+        for (h, &i) in cfr.iter().zip(indices) {
+            acc += *h * Complex64::cis(-beta * i as f64);
+        }
+        acc.norm_sqr()
+    };
+    let span = (indices.iter().max().unwrap() - indices.iter().min().unwrap()).max(1) as f64;
+    let lobe = std::f64::consts::TAU / span;
+    let coarse = (lobe / 4.0).min(0.02);
+    let range = 0.8f64;
+    let n_steps = (range / coarse).ceil() as i32;
+    let mut best = (0.0f64, f64::NEG_INFINITY);
+    for s in -n_steps..=n_steps {
+        let beta = s as f64 * coarse;
+        let v = eval(beta);
+        if v > best.1 {
+            best = (beta, v);
+        }
+    }
+    let step = coarse / 8.0;
+    let best = {
+        let b0 = best.0;
+        let mut fine = (b0, f64::NEG_INFINITY);
+        for s in -8..=8 {
+            let beta = b0 + s as f64 * step;
+            let v = eval(beta);
+            if v > fine.1 {
+                fine = (beta, v);
+            }
+        }
+        fine
+    };
+    let (b0, v0) = best;
+    let vm = eval(b0 - step);
+    let vp = eval(b0 + step);
+    let denom = vm - 2.0 * v0 + vp;
+    let beta = if denom < -1e-12 {
+        b0 + 0.5 * (vm - vp) / denom * step
+    } else {
+        b0
+    };
+    let mut acc = ZERO;
+    for (h, &i) in cfr.iter().zip(indices) {
+        acc += *h * Complex64::cis(-beta * i as f64);
+    }
+    let intercept = acc.arg();
+    for (h, &i) in cfr.iter_mut().zip(indices) {
+        *h *= Complex64::cis(-(beta * i as f64 + intercept));
+    }
+}
+
+/// A multipath CFR on `indices`: one tap per `(amplitude, delay slope,
+/// phase)` plus a per-subcarrier perturbation (cycled if shorter).
+fn multipath_cfr(
+    indices: &[i32],
+    taps: &[(f64, f64, f64)],
+    noise: &[(f64, f64)],
+) -> Vec<Complex64> {
+    indices
+        .iter()
+        .zip(noise.iter().cycle())
+        .map(|(&i, &(re, im))| {
+            let mut h = Complex64::new(re, im);
+            for &(a, slope, phase) in taps {
+                h += Complex64::from_polar(a, slope * i as f64 + phase);
+            }
+            h
+        })
+        .collect()
+}
+
+fn taps_strategy() -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
+    prop::collection::vec((0.05f64..2.0, -0.6f64..0.6, -3.1f64..3.1), 1..5)
+}
+
+fn noise_strategy() -> impl Strategy<Value = Vec<(f64, f64)>> {
+    prop::collection::vec((-0.3f64..0.3, -0.3f64..0.3), 1..32)
+}
+
+/// Sanitizes `cfr` on both paths and asserts bit-identical output.
+fn assert_matches_reference(cfr: &[Complex64], indices: &[i32]) {
+    let mut cached = cfr.to_vec();
+    let mut direct = cfr.to_vec();
+    sanitize_matched_delay(&mut cached, indices);
+    matched_delay_direct(&mut direct, indices);
+    for (k, (a, b)) in cached.iter().zip(&direct).enumerate() {
+        assert!(
+            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+            "subcarrier {k} of {} differs: cached {a} vs direct {b}",
+            indices.len()
+        );
+    }
+}
+
+fn wifi_layouts() -> [Vec<i32>; 3] {
+    [
+        SubcarrierLayout::ht20_5ghz().indices,
+        SubcarrierLayout::ht40_5ghz().indices,
+        SubcarrierLayout::vht80_5ghz().indices,
+    ]
+}
 
 fn snapshot_strategy() -> impl Strategy<Value = CsiSnapshot> {
     prop::collection::vec(
@@ -41,6 +152,103 @@ proptest! {
         for w in u.windows(2) {
             prop_assert!((w[1] - w[0]).abs() <= std::f64::consts::PI + 1e-9);
         }
+    }
+
+    #[test]
+    fn unwrap_always_returns_and_keeps_finite_entries_finite(
+        phases in prop::collection::vec(
+            prop::sample::select(vec![0.3, -2.9, 1e15, -1e300, 1e300, 7e16]),
+            0..12,
+        ),
+    ) {
+        let u = unwrap_phase(&phases);
+        prop_assert_eq!(u.len(), phases.len());
+        for x in &u {
+            prop_assert!(x.is_finite(), "{:?} -> {:?}", phases, u);
+        }
+    }
+
+    #[test]
+    fn matched_delay_cache_matches_direct_on_wifi_layouts(
+        layout in 0usize..3,
+        taps in taps_strategy(),
+        noise in noise_strategy(),
+    ) {
+        let indices = &wifi_layouts()[layout];
+        assert_matches_reference(&multipath_cfr(indices, &taps, &noise), indices);
+    }
+
+    #[test]
+    fn matched_delay_cache_matches_direct_on_near_ties(
+        layout in 0usize..3,
+        s in 1i32..40,
+        amplitude in 0.5f64..2.0,
+        noise in noise_strategy(),
+    ) {
+        // Two equal taps at ±β on the coarse grid tie the objective at ±β
+        // on these symmetric layouts; a perturbation near rounding level
+        // breaks the tie. Rounding then picks the coarse maximum, so the
+        // cached sums must round exactly as the direct ones do.
+        let indices = &wifi_layouts()[layout];
+        let span = (indices[indices.len() - 1] - indices[0]) as f64;
+        let beta = s as f64 * (std::f64::consts::TAU / span / 4.0).min(0.02);
+        let taps = [(amplitude, beta, 0.0), (amplitude, -beta, 0.0)];
+        let tiny: Vec<(f64, f64)> = noise.iter().map(|&(re, im)| (re * 1e-14, im * 1e-14)).collect();
+        assert_matches_reference(&multipath_cfr(indices, &taps, &tiny), indices);
+    }
+
+    #[test]
+    fn matched_delay_cache_matches_direct_on_random_grids(
+        indices in prop::collection::vec(-130i32..130, 2..80),
+        taps in taps_strategy(),
+        noise in noise_strategy(),
+    ) {
+        // Non-contiguous, unsorted, possibly repeating indices.
+        assert_matches_reference(&multipath_cfr(&indices, &taps, &noise), &indices);
+    }
+
+    #[test]
+    fn matched_delay_cache_rebuilds_when_one_thread_alternates_grids(
+        first in 0usize..3,
+        other in prop::collection::vec(-64i32..64, 2..40),
+        taps in taps_strategy(),
+        noise in noise_strategy(),
+    ) {
+        // Every switch invalidates the thread's cached grid; a stale
+        // table would show as a mismatch. The reversed layout has the
+        // same length, span and index set as the layout, so only a cache
+        // keyed by the index list itself tells the two apart. (A shifted
+        // copy would not do: shifting every index turns each coarse sum
+        // by one common phase, which leaves the objective unchanged.)
+        let layout = wifi_layouts()[first].clone();
+        let reversed: Vec<i32> = layout.iter().rev().copied().collect();
+        let grids = [layout, other, reversed];
+        for round in 0..6 {
+            let indices = &grids[round % 3];
+            assert_matches_reference(&multipath_cfr(indices, &taps, &noise), indices);
+        }
+    }
+
+    #[test]
+    fn matched_delay_cache_is_per_thread(
+        taps in taps_strategy(),
+        noise in noise_strategy(),
+    ) {
+        // Two threads sanitizing different grids at once each keep their
+        // own cache.
+        let [ht20, ht40, vht80] = wifi_layouts();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for grids in [[&vht80, &vht80, &ht20], [&ht40, &ht20, &ht40]] {
+                let (start, taps, noise) = (&start, &taps, &noise);
+                scope.spawn(move || {
+                    start.wait();
+                    for indices in grids {
+                        assert_matches_reference(&multipath_cfr(indices, taps, noise), indices);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -56,6 +56,8 @@ use rim_serve::{
 
 use rim_array::ArrayGeometry;
 use rim_csi::sync::SyncedSample;
+// CSI phase sanitation: one typed rejection for non-finite or ragged CFRs.
+use rim_csi::{sanitize_matched_delay, sanitize_snapshot, SanitizeError};
 use rim_obs::{Probe, Recorder, RunReport};
 // Observability v2: request tracing and windowed live telemetry.
 use rim_obs::{
@@ -117,6 +119,9 @@ fn entry_point_signatures_are_stable() {
         SessionManager::ingest_imu;
     let _client_imu: ClientImuFn = Client::ingest_imu;
     let _client_imu_blocking: ClientImuFn = Client::ingest_imu_blocking;
+    // Phase sanitation: per-CFR in place, per-snapshot with rejection.
+    let _sanitize_cfr: fn(&mut [rim_dsp::complex::Complex64], &[i32]) = sanitize_matched_delay;
+    let _sanitize_snapshot: SanitizeSnapshotFn = sanitize_snapshot;
 }
 
 /// Pinned signatures too wide for an inline annotation; a parameter or
@@ -126,6 +131,8 @@ type ImuValidatedFn =
     fn(f64, Vec<rim_dsp::geom::Vec2>, Vec<f64>, Vec<f64>) -> Result<ImuRecording, ImuError>;
 type ClientImuFn =
     fn(&mut Client, u64, Vec<ImuSample>) -> std::io::Result<(Admit, Vec<StreamEvent>)>;
+type SanitizeSnapshotFn =
+    fn(&mut [Vec<rim_dsp::complex::Complex64>], &[i32]) -> Result<(), SanitizeError>;
 
 /// The pre-builder fusion entry points survive as deprecated wrappers:
 /// still exported, still the documented signatures, so downstream code
