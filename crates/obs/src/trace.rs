@@ -344,9 +344,10 @@ impl Tracer {
     }
 
     /// Attaches an [`SpanKind::EventWireOut`] span to the most recent
-    /// committed trace that lacks one (events leave on the next response
-    /// frame, after their trace committed) and feeds the wire
-    /// attribution distribution. No-op when tracing is off.
+    /// committed trace that lacks one (events leave on the same frame
+    /// that answers the traced request, right after the trace committed)
+    /// and feeds the wire attribution distribution. No-op when tracing
+    /// is off.
     pub fn attach_wire_out(&self, dur_us: u64, recorder: &Recorder) {
         if self.sample_every == 0 {
             return;

@@ -45,7 +45,11 @@ impl Client {
     }
 
     /// Offers one sample to a session and returns the admission decision
-    /// plus any events the session emitted since the last response.
+    /// plus the events the session emitted since the last response. The
+    /// server analyses an accepted sample before it answers, so these
+    /// include every event this sample caused: fed one request at a
+    /// time, each answer carries exactly what a standalone stream's
+    /// `ingest` returns for the same input.
     ///
     /// # Errors
     /// I/O errors, or [`io::ErrorKind::InvalidData`] on a protocol
@@ -94,9 +98,10 @@ impl Client {
     }
 
     /// Offers one batch of IMU samples to a session and returns the
-    /// admission decision plus any events the session emitted —
-    /// including the [`rim_core::StreamEvent::Fused`] estimate the
-    /// batch itself produces once processed.
+    /// admission decision plus the events the session emitted since the
+    /// last response — for an accepted batch, including the
+    /// [`rim_core::StreamEvent::Fused`] estimate the batch itself
+    /// produced, as with [`Client::ingest`].
     ///
     /// # Errors
     /// Same as [`Client::ingest`].

@@ -21,7 +21,9 @@
 //! assembles frames from nonblocking reads, and drains responses through
 //! per-connection backpressure queues — no thread is ever parked on a
 //! socket, so thousands of concurrent sessions cost pollfd entries, not
-//! OS threads. A blocking [`Client`] is used by the CLI's `serve`
+//! OS threads. The reactors also tick the batch scheduler between
+//! admitting what they read and answering it, so an ingest's answer
+//! carries the events its own input caused. A blocking [`Client`] is used by the CLI's `serve`
 //! subcommand, the integration tests, and the bench. Per-session
 //! [`rim_obs::Recorder`]s capture stream/pipeline stages for each tenant,
 //! and a manager-wide recorder captures the `serve` stage (admission

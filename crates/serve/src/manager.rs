@@ -9,7 +9,14 @@
 //! (EDF), and fans them across the shared [`Pool`] as independent tiles —
 //! one worker advances one session at a time, so per-session state needs
 //! no finer locking and every session's arithmetic is exactly a
-//! standalone stream's.
+//! standalone stream's. A tick with one busy session runs serially on
+//! the calling thread.
+//!
+//! Behind a [`crate::Server`] the clock is the reactors: every reactor
+//! wakeup admits what it read, runs one tick, and then answers, so the
+//! events an admitted input causes leave on that input's own answer.
+//! Called directly, the manager ticks whenever its owner calls
+//! [`process`].
 //!
 //! [`process`]: SessionManager::process
 
@@ -88,6 +95,9 @@ impl ServeConfig {
     }
 
     /// Scheduler ticks of inactivity before eviction (`0` = never).
+    /// Behind a [`crate::Server`] a tick is one reactor wakeup: each
+    /// reactor wakes for I/O or at least every 5 ms, so with several
+    /// [`ServeConfig::io_threads`] the ticks come that many times faster.
     pub fn idle_evict_ticks(&self) -> u64 {
         self.idle_evict_ticks
     }
@@ -162,7 +172,8 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Scheduler ticks of inactivity before eviction (`0` = never).
+    /// Scheduler ticks of inactivity before eviction (`0` = never);
+    /// see [`ServeConfig::idle_evict_ticks`] for what a tick is.
     pub fn idle_evict_ticks(mut self, ticks: u64) -> Self {
         self.cfg.idle_evict_ticks = ticks;
         self
@@ -326,7 +337,7 @@ struct SessionState {
 /// order.
 ///
 /// All methods take `&self`; the manager is designed to sit behind an
-/// `Arc` with reactor threads and a scheduler thread calling in
+/// `Arc` with several reactor threads admitting, ticking, and draining
 /// concurrently.
 #[derive(Debug)]
 pub struct SessionManager {
@@ -444,7 +455,9 @@ impl SessionManager {
 
     /// Offers one synced sample to a session, creating the session on
     /// first contact. Returns the admission decision immediately; the
-    /// sample is analysed on a later [`SessionManager::process`] tick.
+    /// sample is analysed on the next [`SessionManager::process`] tick
+    /// (behind a [`crate::Server`], the one the admitting reactor runs
+    /// before it answers).
     ///
     /// Beyond the per-session queue bound, admission throttles when the
     /// latency-budget predictor says the sample would wait longer than
@@ -457,7 +470,7 @@ impl SessionManager {
 
     /// Offers one batch of IMU samples to a session, creating the
     /// session on first contact. The batch occupies one ingress-queue
-    /// slot and is run through the session's fusion filter on a later
+    /// slot and is run through the session's fusion filter on the next
     /// scheduler tick, emitting one [`StreamEvent::Fused`] estimate —
     /// the same admission contract (and backpressure) as
     /// [`SessionManager::ingest`]. IMU batches are not traced: they
@@ -586,8 +599,14 @@ impl SessionManager {
 
     /// Runs one scheduler tick: drains every session with pending
     /// samples in earliest-deadline order, fanning the per-session
-    /// batches across the shared pool as independent tiles, then applies
+    /// batches across the shared pool as independent tiles (serially on
+    /// the calling thread when only one session is busy), then applies
     /// the idle-eviction policy. Returns the number of samples analysed.
+    ///
+    /// Behind a [`crate::Server`], every reactor wakeup calls this once,
+    /// and several reactors may tick concurrently: a session another
+    /// tick is analysing is skipped or waited for under its work lock,
+    /// never analysed twice.
     pub fn process(&self) -> usize {
         let now = self.tick.fetch_add(1, Ordering::AcqRel) + 1;
         // Batch-schedule spans measure from the tick's start to each
@@ -797,8 +816,9 @@ impl SessionManager {
     /// Records the wall-clock cost of encoding + writing one
     /// event-bearing response frame: feeds the `wire_us` attribution
     /// distribution and attaches an `event_wire_out` span to the newest
-    /// trace still lacking one (events leave on the response after their
-    /// trace committed). Called by the reactor; no-op when tracing is off.
+    /// trace still lacking one (the trace commits during the tick, and
+    /// its events leave on the same ingest's answer right after). Called
+    /// by the reactor; no-op when tracing is off.
     pub fn note_wire_out(&self, dur_us: u64) {
         self.tracer.attach_wire_out(dur_us, &self.recorder);
     }

@@ -9,6 +9,14 @@
 //! peer costs one pollfd entry and a bounded write queue, not an OS
 //! thread.
 //!
+//! The reactors are also the scheduler's clock. Every `poll` wakeup,
+//! timeouts included, first admits every frame it read, then runs one
+//! [`SessionManager::process`] tick, and only then answers the ingests
+//! it admitted — so an ingest's answer carries the events its own input
+//! caused. Only an admitted ingest and the answers queued behind it on
+//! the same connection wait for the tick; everything else is answered
+//! as soon as it is read.
+//!
 //! Reactor 0 additionally owns the listener and distributes accepted
 //! connections round-robin across the reactor set through small inbox
 //! vectors, picked up within one poll timeout.
@@ -97,6 +105,14 @@ impl Stats {
     }
 }
 
+/// An answer waiting for the end of the wakeup's tick.
+enum Held {
+    /// An ingest's answer: its events are drained when it is sent.
+    Ingest { session_id: u64, admit: Admit },
+    /// Any other answer, already built.
+    Ready(Response),
+}
+
 /// One nonblocking connection: an assembly buffer on the read side, a
 /// bounded frame queue on the write side.
 struct Conn {
@@ -118,6 +134,9 @@ struct Conn {
     peer_done: bool,
     /// Protocol violation or I/O error; close immediately.
     dead: bool,
+    /// Answers held until this wakeup's tick: an admitted ingest and
+    /// every answer after it. Empty between wakeups.
+    held: Vec<Held>,
 }
 
 impl Conn {
@@ -132,6 +151,7 @@ impl Conn {
             paused: false,
             peer_done: false,
             dead: false,
+            held: Vec::new(),
         }
     }
 
@@ -210,10 +230,14 @@ impl Conn {
         }
     }
 
-    /// Decodes and answers one request. Over the write-queue watermark,
-    /// ingests are rejected with [`RejectReason::Backpressure`] and
-    /// metrics snapshots are suppressed — cheap bounded answers instead
-    /// of unbounded buffering for a peer that is not reading.
+    /// Decodes and dispatches one request. An admitted ingest is held
+    /// until this wakeup's tick has analysed it, so its answer carries
+    /// the events it caused; every answer the peer asked for after it is
+    /// held behind it to keep the connection's answers in request order.
+    /// Everything else is answered at once. Over the write-queue
+    /// watermark, ingests are rejected with [`RejectReason::Backpressure`]
+    /// and metrics snapshots are suppressed — cheap bounded answers
+    /// instead of unbounded buffering for a peer that is not reading.
     fn handle_request(&mut self, body: &[u8], shared: &ReactorShared, stats: &mut Stats) {
         let Ok(request) = Request::decode(body) else {
             // A garbled frame leaves the stream unframed; drop the
@@ -223,55 +247,30 @@ impl Conn {
         };
         let manager = &shared.manager;
         let over_cap = self.queued_bytes > self.write_buf_cap;
-        let (response, carries_events, stop_after) = match request {
-            Request::Ingest { session_id, sample } => {
-                if over_cap {
-                    stats.backpressure_rejected += 1;
-                    (
-                        Response::Admit {
-                            admit: Admit::Rejected {
-                                reason: RejectReason::Backpressure,
-                            },
-                            events: Vec::new(),
-                        },
-                        false,
-                        false,
-                    )
-                } else {
-                    let admit = manager.ingest(session_id, sample);
-                    let events = manager.drain_events(session_id);
-                    let has_events = !events.is_empty();
-                    (Response::Admit { admit, events }, has_events, false)
-                }
+        let answer = match request {
+            Request::Ingest { .. } | Request::IngestImu { .. } if over_cap => {
+                stats.backpressure_rejected += 1;
+                Held::Ready(Response::Admit {
+                    admit: Admit::Rejected {
+                        reason: RejectReason::Backpressure,
+                    },
+                    events: Vec::new(),
+                })
             }
+            Request::Ingest { session_id, sample } => Held::Ingest {
+                admit: manager.ingest(session_id, sample),
+                session_id,
+            },
             Request::IngestImu {
                 session_id,
                 samples,
-            } => {
-                if over_cap {
-                    stats.backpressure_rejected += 1;
-                    (
-                        Response::Admit {
-                            admit: Admit::Rejected {
-                                reason: RejectReason::Backpressure,
-                            },
-                            events: Vec::new(),
-                        },
-                        false,
-                        false,
-                    )
-                } else {
-                    let admit = manager.ingest_imu(session_id, samples);
-                    let events = manager.drain_events(session_id);
-                    let has_events = !events.is_empty();
-                    (Response::Admit { admit, events }, has_events, false)
-                }
-            }
-            Request::Finish { session_id } => {
-                let events = manager.finish(session_id);
-                let has_events = !events.is_empty();
-                (Response::Finished { events }, has_events, false)
-            }
+            } => Held::Ingest {
+                admit: manager.ingest_imu(session_id, samples),
+                session_id,
+            },
+            Request::Finish { session_id } => Held::Ready(Response::Finished {
+                events: manager.finish(session_id),
+            }),
             Request::Metrics => {
                 let text = if over_cap {
                     stats.backpressure_rejected += 1;
@@ -279,12 +278,53 @@ impl Conn {
                 } else {
                     manager.metrics_text()
                 };
-                (Response::MetricsSnapshot { text }, false, false)
+                Held::Ready(Response::MetricsSnapshot { text })
             }
             Request::Shutdown => {
                 manager.shutdown();
-                (Response::Bye, false, true)
+                // The loop checks the flag only after this wakeup's
+                // held answers went out, the `Bye` among them.
+                shared.stop.store(true, Ordering::Release);
+                Held::Ready(Response::Bye)
             }
+        };
+        let admitted = matches!(
+            answer,
+            Held::Ingest {
+                admit: Admit::Accepted,
+                ..
+            }
+        );
+        if admitted || !self.held.is_empty() {
+            self.held.push(answer);
+        } else {
+            self.answer(answer, manager, stats);
+        }
+    }
+
+    /// Sends the answers held for this wakeup's tick, in request order.
+    fn answer_held(&mut self, manager: &SessionManager, stats: &mut Stats) {
+        for held in std::mem::take(&mut self.held) {
+            if self.dead {
+                return;
+            }
+            self.answer(held, manager, stats);
+        }
+    }
+
+    /// Encodes and sends one answer; an ingest's answer carries the
+    /// session's events drained now.
+    fn answer(&mut self, held: Held, manager: &SessionManager, stats: &mut Stats) {
+        let response = match held {
+            Held::Ingest { session_id, admit } => Response::Admit {
+                admit,
+                events: manager.drain_events(session_id),
+            },
+            Held::Ready(response) => response,
+        };
+        let carries_events = match &response {
+            Response::Admit { events, .. } | Response::Finished { events } => !events.is_empty(),
+            Response::Bye | Response::MetricsSnapshot { .. } => false,
         };
         // Event-bearing responses carry estimates back to the client:
         // time their encode+first-write so the tracer can close the
@@ -294,9 +334,6 @@ impl Conn {
         self.send(frame, stats);
         if carries_events {
             manager.note_wire_out(wire_start.elapsed().as_micros() as u64);
-        }
-        if stop_after {
-            shared.stop.store(true, Ordering::Release);
         }
         if self.queued_bytes > self.write_buf_cap {
             self.paused = true;
@@ -426,6 +463,13 @@ pub(crate) fn reactor_loop(shared: &Arc<ReactorShared>, idx: usize, listener: Op
                     c.read_ready(shared, &mut stats);
                 }
             }
+        }
+        // The tick: analyse what this wakeup admitted (and whatever
+        // else is queued), then answer the held ingests with the events
+        // their inputs caused.
+        shared.manager.process();
+        for c in &mut conns {
+            c.answer_held(&shared.manager, &mut stats);
         }
         conns.retain(|c| {
             if c.done() {

@@ -1,12 +1,13 @@
-//! The server handle: binds the listener, runs the reactor threads and
-//! the scheduler thread, and owns shutdown.
+//! The server handle: binds the listener, runs the reactor threads,
+//! and owns shutdown.
 //!
 //! I/O is readiness-driven (see [`crate::reactor`]): a fixed worker set
 //! of [`ServeConfig::io_threads`] reactor threads owns every client
 //! socket, so the thread count is constant whether ten or ten thousand
-//! sessions are connected. One scheduler thread ticks
-//! [`SessionManager::process`] — the deadline-ordered cross-session
-//! batch scheduler — in a loop.
+//! sessions are connected. There is no scheduler thread: each reactor
+//! wakeup runs one [`SessionManager::process`] tick — the
+//! deadline-ordered cross-session batch scheduler — between admitting
+//! what it read and answering it.
 //!
 //! [`ServeConfig::io_threads`]: crate::ServeConfig::io_threads
 
@@ -17,10 +18,6 @@ use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
-
-/// Scheduler back-off when a tick found nothing to analyse.
-const IDLE_BACKOFF: Duration = Duration::from_millis(1);
 
 /// A running serve instance bound to a TCP address.
 ///
@@ -29,13 +26,12 @@ pub struct Server {
     shared: Arc<ReactorShared>,
     addr: SocketAddr,
     io: Vec<JoinHandle<()>>,
-    scheduler: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds a listener (use port 0 for an ephemeral port) and starts
-    /// the reactor threads (sized by the manager's
-    /// [`crate::ServeConfig::io_threads`]) and the scheduler thread.
+    /// the reactor threads, exactly the manager's
+    /// [`crate::ServeConfig::io_threads`] of them.
     ///
     /// # Errors
     /// Propagates bind/configuration I/O errors.
@@ -56,16 +52,7 @@ impl Server {
             let listener = listener.take();
             io.push(thread::spawn(move || reactor_loop(&shared, idx, listener)));
         }
-        let scheduler = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || scheduler_loop(&shared))
-        };
-        Ok(Server {
-            shared,
-            addr,
-            io,
-            scheduler: Some(scheduler),
-        })
+        Ok(Server { shared, addr, io })
     }
 
     /// The bound address (with the resolved port when bound to port 0).
@@ -86,8 +73,8 @@ impl Server {
     }
 
     /// Stops the server: refuses new samples, lets the reactors flush
-    /// and close every connection, and joins the reactor and scheduler
-    /// threads. Idempotent.
+    /// and close every connection, and joins the reactor threads.
+    /// Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.manager.shutdown();
         self.shared.stop.store(true, Ordering::Release);
@@ -98,28 +85,11 @@ impl Server {
         for h in self.io.drain(..) {
             let _ = h.join();
         }
-        if let Some(h) = self.scheduler.take() {
-            let _ = h.join();
-        }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Ticks the manager until stop, with one final drain tick after.
-fn scheduler_loop(shared: &Arc<ReactorShared>) {
-    loop {
-        let analysed = shared.manager.process();
-        if shared.stop.load(Ordering::Acquire) {
-            shared.manager.process();
-            return;
-        }
-        if analysed == 0 {
-            thread::sleep(IDLE_BACKOFF);
-        }
     }
 }

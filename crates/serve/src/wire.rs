@@ -25,6 +25,17 @@ use crate::manager::{Admit, RejectReason};
 /// is ~100 KiB; anything near this bound is a corrupt or hostile peer).
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
+/// [`read_frame`]'s first buffer step; after it, the buffer at most
+/// doubles the bytes that have arrived, so a declared length alone never
+/// sizes an allocation.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Encoded size of one IMU sample in an ingest body.
+const IMU_SAMPLE_LEN: usize = 40;
+
+/// Smallest encoded event: a tag and one `u64`.
+const MIN_EVENT_LEN: usize = 1 + 8;
+
 /// Message tags (first body byte).
 mod tag {
     pub const INGEST: u8 = 0x01;
@@ -184,7 +195,7 @@ impl Request {
                 }
                 let session_id = body.get_u64();
                 let n = body.get_u32() as usize;
-                if body.remaining() < n * 40 {
+                if body.remaining() / IMU_SAMPLE_LEN < n {
                     return Err(WireError::Truncated);
                 }
                 let mut samples = Vec::with_capacity(n);
@@ -323,27 +334,50 @@ fn prefix(body: BytesMut) -> Bytes {
 }
 
 /// Reads one length-prefixed frame body. Returns `Ok(None)` on a clean
-/// EOF at a frame boundary (the peer hung up between messages).
+/// EOF at a frame boundary (the peer hung up between messages). The
+/// body buffer grows with the bytes that arrive, so a hostile length
+/// prefix cannot make it allocate much more than what was received.
 ///
 /// # Errors
-/// Propagates I/O errors; an oversized declared length surfaces as
-/// [`io::ErrorKind::InvalidData`].
+/// Propagates I/O errors. Malformed framing is an [`io::Error`] whose
+/// inner error is a [`WireError`]: an oversized declared length is
+/// [`WireError::TooLarge`] ([`io::ErrorKind::InvalidData`]), and an EOF
+/// inside the prefix or the body is [`WireError::Truncated`]
+/// ([`io::ErrorKind::UnexpectedEof`]).
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let truncated = || io::Error::new(io::ErrorKind::UnexpectedEof, WireError::Truncated);
+    let mut prefix = [0u8; 4];
+    let mut got = 0;
+    while got < prefix.len() {
+        match r.read(&mut prefix[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => return Err(truncated()),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    let len = u32::from_be_bytes(len);
+    let len = u32::from_be_bytes(prefix);
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            WireError::TooLarge(len).to_string(),
+            WireError::TooLarge(len),
         ));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
+    let len = len as usize;
+    let mut body = Vec::new();
+    while body.len() < len {
+        let start = body.len();
+        let end = len.min(start.saturating_mul(2).max(READ_CHUNK));
+        body.resize(end, 0);
+        r.read_exact(&mut body[start..]).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                truncated()
+            } else {
+                e
+            }
+        })?;
+    }
     Ok(Some(body))
 }
 
@@ -500,7 +534,8 @@ fn get_events(body: &mut &[u8]) -> Result<Vec<StreamEvent>, WireError> {
         return Err(WireError::Truncated);
     }
     let n = body.get_u32();
-    let mut events = Vec::with_capacity(n.min(4096) as usize);
+    // Presize only for as many events as the body could hold.
+    let mut events = Vec::with_capacity((n as usize).min(body.remaining() / MIN_EVENT_LEN));
     for _ in 0..n {
         events.push(get_event(body)?);
     }

@@ -7,20 +7,26 @@
 //!   scheduler's arbitrary interleaving must all be invisible in the
 //!   output bits (the repo's determinism invariant extended to the
 //!   service). Run under `RIM_THREADS=1` and `=4` by CI.
+//! * **Answers carry their own estimates** — each ingest's answer
+//!   carries exactly the events its own input caused, so a served
+//!   estimate never waits for the session's next request.
 //! * **Backpressure isolation** — a flooded session is throttled, and
 //!   neither the throttling nor the flood changes a well-behaved
 //!   neighbour's results.
 
 use rim_array::ArrayGeometry;
-use rim_channel::trajectory::{line, OrientationMode};
+use rim_channel::trajectory::{line, OrientationMode, Trajectory};
 use rim_channel::ChannelSimulator;
 use rim_core::stream::{RimStream, StreamEvent};
+use rim_core::{ImuSample, StreamEventKind, StreamInput};
 use rim_csi::{
     synced_from_recording, CsiRecorder, CsiRecording, DeviceConfig, LossModel, RecorderConfig,
 };
 use rim_dsp::geom::Point2;
 use rim_integration_tests::{config, FS, SPACING};
+use rim_sensors::{ImuConfig, SimulatedImu};
 use rim_serve::{Admit, Client, ServeConfig, Server, SessionManager};
+use rim_tracking::Fuser;
 use std::sync::Arc;
 
 fn geometry() -> ArrayGeometry {
@@ -28,17 +34,20 @@ fn geometry() -> ArrayGeometry {
 }
 
 /// A 2 m line at 1 m/s: ~200 samples at the test rate.
-fn clean_recording() -> CsiRecording {
-    let sim = ChannelSimulator::open_lab(7);
-    let geometry = geometry();
-    let traj = line(
+fn walk() -> Trajectory {
+    line(
         Point2::new(0.0, 2.0),
         0.0,
         2.0,
         1.0,
         FS,
         OrientationMode::FollowPath,
-    );
+    )
+}
+
+fn clean_recording() -> CsiRecording {
+    let sim = ChannelSimulator::open_lab(7);
+    let geometry = geometry();
     CsiRecorder::new(
         &sim,
         DeviceConfig::single_nic(geometry.offsets().to_vec()),
@@ -47,7 +56,7 @@ fn clean_recording() -> CsiRecording {
             seed: 7,
         },
     )
-    .record(&traj)
+    .record(&walk())
 }
 
 /// The per-session input: each tenant sees its own loss realisation, so
@@ -73,8 +82,16 @@ fn fingerprint(events: &[StreamEvent]) -> String {
     format!("{events:#?}")
 }
 
+/// Run with one reactor and with two: two reactors tick the one
+/// manager concurrently, and that must be invisible in the bits too.
 #[test]
 fn concurrent_sessions_are_bit_identical_to_standalone_streams() {
+    for io_threads in [1, 2] {
+        concurrent_sessions_match_standalone(io_threads);
+    }
+}
+
+fn concurrent_sessions_match_standalone(io_threads: usize) {
     const K: u64 = 8;
     let clean = clean_recording();
     let manager = Arc::new(
@@ -86,6 +103,7 @@ fn concurrent_sessions_are_bit_identical_to_standalone_streams() {
             // not perturb results either.
             ServeConfig::builder()
                 .queue_depth(16)
+                .io_threads(io_threads)
                 .build()
                 .expect("valid config"),
         )
@@ -119,7 +137,7 @@ fn concurrent_sessions_are_bit_identical_to_standalone_streams() {
         assert_eq!(
             fingerprint(&served),
             fingerprint(&expected),
-            "session {k} diverged from its standalone stream"
+            "session {k} diverged from its standalone stream ({io_threads} reactors)"
         );
     }
     assert_eq!(manager.sessions_active(), 0, "all sessions finished");
@@ -128,6 +146,81 @@ fn concurrent_sessions_are_bit_identical_to_standalone_streams() {
     closer.shutdown().expect("shutdown handshake");
     server.shutdown();
     assert!(!manager.accepting());
+}
+
+/// A served estimate is only useful as soon as its sample has been
+/// analysed: with the default configuration, every `ingest` and
+/// `ingest_imu` answer carries exactly — bit for bit — the events a
+/// standalone fused stream returns for that same input, so an IMU
+/// batch's answer carries its own `Fused` estimate and no event waits
+/// for the session's next request.
+#[test]
+fn each_ingest_answer_carries_exactly_its_own_events() {
+    const IMU_BATCH: usize = 4;
+    let recording = session_recording(&clean_recording(), 0);
+    let imu = SimulatedImu::new(ImuConfig::consumer(), 7).sample(&walk());
+    let samples = synced_from_recording(&recording);
+    // The session's inputs in send order: an IMU batch after every
+    // fourth CSI sample, on the CSI clock.
+    let mut inputs: Vec<StreamInput> = Vec::new();
+    for (i, sample) in samples.into_iter().enumerate() {
+        inputs.push(sample.into());
+        if (i + 1) % IMU_BATCH == 0 && i < imu.len() {
+            let batch = (i + 1 - IMU_BATCH..=i)
+                .map(|j| ImuSample {
+                    t_us: (j as f64 / FS * 1e6) as u64,
+                    accel_body: imu.accel_body[j],
+                    gyro_z: imu.gyro_z[j],
+                    mag_orientation: Some(imu.mag_orientation[j]),
+                })
+                .collect();
+            inputs.push(StreamInput::Imu(batch));
+        }
+    }
+
+    let manager = Arc::new(
+        SessionManager::new(geometry(), config(0.3), ServeConfig::default()).expect("valid config"),
+    );
+    let mut server = Server::bind("127.0.0.1:0", Arc::clone(&manager)).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut reference = Fuser::builder()
+        .build()
+        .expect("default knobs are valid")
+        .stream(RimStream::new(geometry(), config(0.3).with_threads(1)).expect("valid config"));
+
+    let mut fused_answers = 0;
+    let mut imu_batches = 0;
+    for (n, input) in inputs.into_iter().enumerate() {
+        let is_imu = matches!(input, StreamInput::Imu(_));
+        let (admit, served) = match input.clone() {
+            StreamInput::Imu(batch) => client.ingest_imu(1, batch),
+            StreamInput::Synced(sample) => client.ingest(1, sample),
+            other => panic!("unexpected input {other:?}"),
+        }
+        .expect("round trip");
+        assert_eq!(admit, Admit::Accepted, "input {n} not admitted");
+        let expected = reference.ingest(input).expect("reference ingest");
+        assert_eq!(
+            fingerprint(&served),
+            fingerprint(&expected),
+            "input {n}: the answer does not carry exactly this input's events"
+        );
+        if is_imu {
+            imu_batches += 1;
+            fused_answers += usize::from(served.iter().any(|e| e.kind() == StreamEventKind::Fused));
+        }
+    }
+    assert!(imu_batches > 0);
+    assert_eq!(
+        fused_answers, imu_batches,
+        "every IMU batch's answer carries its fused estimate"
+    );
+    assert_eq!(
+        fingerprint(&client.finish(1).expect("finish")),
+        fingerprint(&reference.finish()),
+        "finish carries exactly the flush"
+    );
+    server.shutdown();
 }
 
 /// The deadline path must be invisible too: with a tight latency budget
