@@ -14,7 +14,7 @@ use crate::report::{ErrorStats, Report};
 use rim_array::ArrayGeometry;
 use rim_channel::trajectory::{line, OrientationMode, Trajectory};
 use rim_channel::ChannelSimulator;
-use rim_core::alignment::{base_cross_trrs_range, virtual_average};
+use rim_core::alignment::{alignment_matrix, AlignmentConfig};
 use rim_core::tracking_dp::{track_peaks, DpConfig};
 use rim_core::trrs::NormSnapshot;
 use rim_core::Rim;
@@ -71,12 +71,17 @@ pub fn run(fast: bool) -> Report {
             .iter()
             .map(|s| NormSnapshot::series(s))
             .collect();
-        let n = dense.n_samples();
-        let b = base_cross_trrs_range(&series[0], &series[1], 26, 0, n);
         // Lightly averaged matrix (V = 5): isolates the tracker's own
         // robustness from what Eqn. 4's massive averaging provides — with
         // V = 30 the matrix is clean enough that any peak picker works.
-        let m = virtual_average(&b, 5);
+        let m = alignment_matrix(
+            &series[0],
+            &series[1],
+            AlignmentConfig {
+                window: 26,
+                virtual_antennas: 5,
+            },
+        );
         let dp = track_peaks(&m, DpConfig::default());
         let am_lags: Vec<isize> = m.column_peaks().iter().map(|&(l, _)| l).collect();
         // Compare the tracked lag paths against the true alignment delay

@@ -10,13 +10,14 @@ use crate::env::{self, hexagonal_array};
 use crate::report::Report;
 use rim_channel::trajectory::{polyline, OrientationMode};
 use rim_channel::ChannelSimulator;
-use rim_core::alignment::{base_cross_trrs_range, virtual_average};
+use rim_core::alignment::{alignment_matrix, AlignmentConfig};
 use rim_core::tracking_dp::{track_peaks, DpConfig};
 use rim_core::trrs::NormSnapshot;
 use rim_core::AlignmentMatrix;
 use rim_csi::LossModel;
 use rim_dsp::geom::Point2;
 use rim_dsp::stats::wrap_angle;
+use rim_par::Pool;
 
 /// Runs the experiment.
 pub fn run(fast: bool) -> Report {
@@ -47,9 +48,10 @@ pub fn run(fast: bool) -> Report {
         .collect();
 
     let groups = geo.parallel_groups();
-    let w = 26;
-    let v = 30;
-    let n = dense.n_samples();
+    let config = AlignmentConfig {
+        window: 26,
+        virtual_antennas: 30,
+    };
     // Build averaged matrices + tracked paths per group once.
     let tracked: Vec<(usize, AlignmentMatrix, Vec<isize>)> = groups
         .iter()
@@ -57,13 +59,10 @@ pub fn run(fast: bool) -> Report {
         .map(|(gi, g)| {
             let mats: Vec<AlignmentMatrix> = g
                 .iter()
-                .map(|pg| {
-                    let b = base_cross_trrs_range(&series[pg.pair.i], &series[pg.pair.j], w, 0, n);
-                    virtual_average(&b, v)
-                })
+                .map(|pg| alignment_matrix(&series[pg.pair.i], &series[pg.pair.j], config))
                 .collect();
             let refs: Vec<&AlignmentMatrix> = mats.iter().collect();
-            let avg = AlignmentMatrix::average(&refs);
+            let avg = AlignmentMatrix::average_with(&refs, &Pool::serial());
             let path = track_peaks(&avg, DpConfig::default());
             (gi, avg, path.lags)
         })
@@ -141,21 +140,16 @@ pub fn heatmap(fast: bool) -> Option<String> {
         .map(|s| NormSnapshot::series(s))
         .collect();
     let g = geo.parallel_groups().into_iter().next()?;
+    let config = AlignmentConfig {
+        window: 26,
+        virtual_antennas: 30,
+    };
     let mats: Vec<AlignmentMatrix> = g
         .iter()
-        .map(|pg| {
-            let b = base_cross_trrs_range(
-                &series[pg.pair.i],
-                &series[pg.pair.j],
-                26,
-                0,
-                dense.n_samples(),
-            );
-            virtual_average(&b, 30)
-        })
+        .map(|pg| alignment_matrix(&series[pg.pair.i], &series[pg.pair.j], config))
         .collect();
     let refs: Vec<&AlignmentMatrix> = mats.iter().collect();
-    let avg = AlignmentMatrix::average(&refs);
+    let avg = AlignmentMatrix::average_with(&refs, &Pool::serial());
     Some(rim_core::diagnostics::render_matrix(&avg, 78, 17))
 }
 

@@ -8,7 +8,7 @@ use crate::env::{self, linear_array};
 use crate::report::Report;
 use rim_channel::trajectory::{back_and_forth, line, OrientationMode};
 use rim_channel::ChannelSimulator;
-use rim_core::alignment::{base_cross_trrs_range, virtual_average};
+use rim_core::alignment::{alignment_matrix, AlignmentConfig};
 use rim_core::tracking_dp::{track_peaks, DpConfig};
 use rim_core::trrs::NormSnapshot;
 use rim_core::{AlignmentMatrix, Rim};
@@ -47,8 +47,14 @@ pub fn run(fast: bool) -> Report {
                 .map(|s| NormSnapshot::series(s))
                 .collect();
             let n = dense.n_samples();
-            let b = base_cross_trrs_range(&series[0], &series[1], 26, 0, n);
-            let m = virtual_average(&b, 30);
+            let m = alignment_matrix(
+                &series[0],
+                &series[1],
+                AlignmentConfig {
+                    window: 26,
+                    virtual_antennas: 30,
+                },
+            );
             let path = track_peaks(&m, DpConfig::default());
             // Prominence over the forward phase (skip transients).
             let lo = n / 8;

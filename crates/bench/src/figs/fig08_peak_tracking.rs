@@ -9,7 +9,7 @@ use crate::env::{self, linear_array};
 use crate::report::Report;
 use rim_channel::trajectory::back_and_forth;
 use rim_channel::ChannelSimulator;
-use rim_core::alignment::{base_cross_trrs_range, virtual_average};
+use rim_core::alignment::{alignment_matrix, AlignmentConfig};
 use rim_core::tracking_dp::{track_peaks, DpConfig};
 use rim_core::trrs::NormSnapshot;
 use rim_csi::{HardwareProfile, LossModel};
@@ -50,9 +50,14 @@ pub fn run(fast: bool) -> Report {
         .iter()
         .map(|s| NormSnapshot::series(s))
         .collect();
-    let n = dense.n_samples();
-    let b = base_cross_trrs_range(&series[0], &series[1], 26, 0, n);
-    let m = virtual_average(&b, 30);
+    let m = alignment_matrix(
+        &series[0],
+        &series[1],
+        AlignmentConfig {
+            window: 26,
+            virtual_antennas: 30,
+        },
+    );
     let path = track_peaks(&m, DpConfig::default());
 
     // Expected lag magnitude.

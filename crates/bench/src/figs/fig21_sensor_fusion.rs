@@ -75,7 +75,8 @@ pub fn run(fast: bool) -> Report {
         .initial_position(wps[0])
         .build()
         .expect("default fusion knobs are valid")
-        .fuse_with_map(&est, &imu.gyro_z, &floorplan, &MapFusionConfig::default());
+        .fuse_with_map(&est, &imu.gyro_z, &floorplan, &MapFusionConfig::default())
+        .expect("the IMU samples at the estimate's rate");
     let dr_err = mean_projection_error(&fused.dead_reckoned, &truth);
     let pf_err = mean_projection_error(&fused.filtered, &truth);
     report.row("w/o PF mean track error", format!("{:.2} m", dr_err));

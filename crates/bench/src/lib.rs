@@ -2,8 +2,8 @@
 //!
 //! The experiment harness reproducing the RIM paper's evaluation: one
 //! module (and one binary) per figure of §6, shared workload builders, and
-//! text reporting of paper-vs-measured results. Criterion micro-benchmarks
-//! (§6.2.9 system complexity) live under `benches/`.
+//! text reporting of paper-vs-measured results. System cost (§6.2.9) is
+//! measured by the repository benchmark, `perfbench/`.
 //!
 //! Run a single figure:
 //! ```sh

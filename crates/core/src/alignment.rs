@@ -80,18 +80,10 @@ impl AlignmentMatrix {
     }
 
     /// Element-wise average of several matrices (for parallel isometric
-    /// pair groups, §4.2).
-    ///
-    /// # Panics
-    /// Panics if the list is empty or shapes differ.
-    pub fn average(mats: &[&AlignmentMatrix]) -> AlignmentMatrix {
-        Self::average_with(mats, &Pool::serial())
-    }
-
-    /// [`AlignmentMatrix::average`] as a parallel reduction: time rows are
-    /// tiled across `pool`'s workers. Each element sums its inputs in
-    /// matrix order regardless of scheduling, so the result is
-    /// bit-identical to the serial average.
+    /// pair groups, §4.2), as a parallel reduction: time rows are tiled
+    /// across `pool`'s workers. Each element sums its inputs in matrix
+    /// order regardless of scheduling, so the result is bit-identical for
+    /// any thread count.
     ///
     /// # Panics
     /// Panics if the list is empty or shapes differ.
@@ -181,46 +173,28 @@ impl AlignmentMatrix {
     }
 }
 
-/// Computes the single-snapshot cross-TRRS matrix
-/// `B[t][l] = κ̄(a[t], b[t−l])` for lags `|l| ≤ window`. Out-of-range
-/// entries are 0.
-pub fn base_cross_trrs(a: &[NormSnapshot], b: &[NormSnapshot], window: usize) -> AlignmentMatrix {
-    base_cross_trrs_range(a, b, window, 0, a.len().min(b.len()))
-}
-
-/// Computes cross-TRRS columns for `t ∈ t0..t1` only; lags still reference
-/// the *full* series, so `b[t − l]` may reach outside the column range.
-/// Row 0 of the result corresponds to `t0`. The series may have different
-/// lengths: columns index `a`, and entries whose source `t − l` falls
-/// outside `b` are 0.
-///
-/// # Panics
-/// Panics if the column range exceeds `a`.
-pub fn base_cross_trrs_range(
-    a: &[NormSnapshot],
-    b: &[NormSnapshot],
-    window: usize,
-    t0: usize,
-    t1: usize,
-) -> AlignmentMatrix {
-    base_cross_trrs_range_with(a, b, window, t0, t1, &Pool::serial())
-}
-
 /// One time column of the cross-TRRS matrix, in the scalar
-/// array-of-structures layout — the bit-exact reference the SoA/SIMD path
-/// is tested against, and the fallback for shapes the SoA packing refuses
-/// (ragged series). The incremental column cache
+/// array-of-structures layout, with `norm` as the per-entry kernel
+/// ([`trrs_norm`] or [`trrs_norm_f32`]) — the bit-exact reference the
+/// SoA/SIMD path is tested against, and the fallback for shapes the SoA
+/// packing refuses (ragged series). Each kernel gets its own
+/// instantiation, so the loop compiles as if the call were written in
+/// place. The incremental column cache
 /// ([`crate::incremental::ColumnCache`]) builds its entries with the same
 /// masking, so matrices materialised from the cache are bit-identical to
 /// this path. Masks against `b` — the series the lag actually indexes —
 /// not `a` (for the historical equal-length callers the two are the
 /// same).
-pub(crate) fn cross_trrs_row(
+pub(crate) fn cross_trrs_row<K>(
     a: &[NormSnapshot],
     b: &[NormSnapshot],
     window: usize,
     t: usize,
-) -> Vec<f64> {
+    norm: K,
+) -> Vec<f64>
+where
+    K: Fn(&NormSnapshot, &NormSnapshot) -> f64,
+{
     let src_len = b.len();
     let w = window as isize;
     let mut row = vec![0.0; 2 * window + 1];
@@ -230,51 +204,9 @@ pub(crate) fn cross_trrs_row(
         if src < 0 || src as usize >= src_len {
             continue;
         }
-        *slot = trrs_norm(&a[t], &b[src as usize]);
+        *slot = norm(&a[t], &b[src as usize]);
     }
     row
-}
-
-/// [`cross_trrs_row`] in reduced precision: the same masking with
-/// [`trrs_norm_f32`] per entry — the scalar reference (and ragged-shape
-/// fallback) of the f32 SIMD path.
-pub(crate) fn cross_trrs_row_f32(
-    a: &[NormSnapshot],
-    b: &[NormSnapshot],
-    window: usize,
-    t: usize,
-) -> Vec<f64> {
-    let src_len = b.len();
-    let w = window as isize;
-    let mut row = vec![0.0; 2 * window + 1];
-    for (k, slot) in row.iter_mut().enumerate() {
-        let lag = k as isize - w;
-        let src = t as isize - lag;
-        if src < 0 || src as usize >= src_len {
-            continue;
-        }
-        *slot = trrs_norm_f32(&a[t], &b[src as usize]);
-    }
-    row
-}
-
-/// [`base_cross_trrs_range`] with the time columns tiled across `pool`'s
-/// workers — the dominant `O(T·W·S·N)` cost of the pipeline. Every column
-/// is independent and computed by per-element arithmetic identical to the
-/// scalar path, so the result is bit-identical regardless of thread count
-/// or SIMD dispatch tier.
-///
-/// # Panics
-/// Panics if the column range exceeds `a`.
-pub fn base_cross_trrs_range_with(
-    a: &[NormSnapshot],
-    b: &[NormSnapshot],
-    window: usize,
-    t0: usize,
-    t1: usize,
-    pool: &Pool,
-) -> AlignmentMatrix {
-    base_cross_trrs_range_prec(a, b, window, (t0, t1), pool, Precision::F64Reference)
 }
 
 /// Column ranges at least this wide take the SoA/SIMD path; narrower
@@ -283,11 +215,19 @@ pub fn base_cross_trrs_range_with(
 /// affects results — both paths are bit-identical per precision.
 const SOA_MIN_COLUMNS: usize = 4;
 
-/// [`base_cross_trrs_range_with`] at an explicit [`Precision`] — the
-/// entry point the pipeline uses. `range` is `(t0, t1)` over `a`'s
-/// columns. For [`Precision::F64Reference`] the result is bit-identical
-/// to the historical scalar loop; for [`Precision::F32Fast`] it is
-/// bit-identical to [`trrs_norm_f32`] per entry.
+/// Computes the single-snapshot cross-TRRS matrix
+/// `B[t][l] = κ̄(a[t], b[t−l])` for lags `|l| ≤ window`, over the time
+/// columns `range = (t0, t1)` of `a` — the dominant `O(T·W·S·N)` cost of
+/// the pipeline. Row 0 of the result corresponds to `t0`; lags still
+/// reference the *full* series, so `b[t − l]` may reach outside the
+/// column range. The series may have different lengths: entries whose
+/// source `t − l` falls outside `b` are 0.
+///
+/// The columns are tiled across `pool`'s workers. Every column is
+/// independent, so the result is bit-identical for any thread count and
+/// SIMD dispatch tier: for [`Precision::F64Reference`] to the scalar
+/// [`trrs_norm`] loop, for [`Precision::F32Fast`] to [`trrs_norm_f32`]
+/// per entry.
 ///
 /// # Panics
 /// Panics if the column range exceeds `a`.
@@ -312,8 +252,8 @@ pub fn base_cross_trrs_range_prec(
     }
     let tiles = pool.run_tiles(t1 - t0, |_, rows| {
         rows.map(|row_idx| match precision {
-            Precision::F64Reference => cross_trrs_row(a, b, window, t0 + row_idx),
-            Precision::F32Fast => cross_trrs_row_f32(a, b, window, t0 + row_idx),
+            Precision::F64Reference => cross_trrs_row(a, b, window, t0 + row_idx, trrs_norm),
+            Precision::F32Fast => cross_trrs_row(a, b, window, t0 + row_idx, trrs_norm_f32),
         })
         .collect::<Vec<Vec<f64>>>()
     });
@@ -357,16 +297,13 @@ fn base_cross_soa<T: SoaScalar>(
 }
 
 /// Applies the virtual-massive-antenna average (Eqn. 4): a centred box
-/// filter of length `v` along the time axis, per lag. Edge positions
-/// average over the in-range part of the block.
-pub fn virtual_average(base: &AlignmentMatrix, v: usize) -> AlignmentMatrix {
-    virtual_average_with(base, v, &Pool::serial())
-}
-
-/// [`virtual_average`] as a parallel reduction: lag columns are tiled
-/// across `pool`'s workers, each running the identical per-lag prefix-sum
-/// arithmetic, then transposed back to row-major. Bit-identical to the
-/// serial path for any thread count.
+/// filter of length `v` along the time axis, per lag. Edge positions —
+/// including the edges of a range-computed base matrix — average over the
+/// in-range part of the block.
+///
+/// Lag columns are tiled across `pool`'s workers, each running the
+/// identical per-lag prefix-sum arithmetic, then transposed back to
+/// row-major, so the result is bit-identical for any thread count.
 pub fn virtual_average_with(base: &AlignmentMatrix, v: usize, pool: &Pool) -> AlignmentMatrix {
     if v <= 1 {
         return base.clone();
@@ -427,31 +364,19 @@ pub fn virtual_average_with(base: &AlignmentMatrix, v: usize, pool: &Pool) -> Al
     }
 }
 
-/// Alias of [`virtual_average`] for range-computed base matrices: the box
-/// filter clamps to the available columns, so segment edges average over
-/// the in-range part of the block.
-pub fn virtual_average_range(base: &AlignmentMatrix, v: usize) -> AlignmentMatrix {
-    virtual_average(base, v)
-}
-
-/// Alias of [`virtual_average_with`] for range-computed base matrices.
-pub fn virtual_average_range_with(
-    base: &AlignmentMatrix,
-    v: usize,
-    pool: &Pool,
-) -> AlignmentMatrix {
-    virtual_average_with(base, v, pool)
-}
-
 /// Convenience: full alignment matrix `G` for a pair of antenna series
-/// (base cross-TRRS followed by the massive average).
+/// (base cross-TRRS followed by the massive average), computed serially
+/// at [`Precision::F64Reference`].
 pub fn alignment_matrix(
     a: &[NormSnapshot],
     b: &[NormSnapshot],
     config: AlignmentConfig,
 ) -> AlignmentMatrix {
-    let base = base_cross_trrs(a, b, config.window);
-    virtual_average(&base, config.virtual_antennas)
+    let pool = Pool::serial();
+    let range = (0, a.len().min(b.len()));
+    let base =
+        base_cross_trrs_range_prec(a, b, config.window, range, &pool, Precision::F64Reference);
+    virtual_average_with(&base, config.virtual_antennas, &pool)
 }
 
 #[cfg(test)]
@@ -491,19 +416,33 @@ mod tests {
         (NormSnapshot::series(&a), NormSnapshot::series(&b))
     }
 
+    /// The whole-series base matrix, serial and at f64 — the reference
+    /// the tests below compare against.
+    fn base(a: &[NormSnapshot], b: &[NormSnapshot], window: usize) -> AlignmentMatrix {
+        let range = (0, a.len().min(b.len()));
+        base_cross_trrs_range_prec(
+            a,
+            b,
+            window,
+            range,
+            &Pool::serial(),
+            Precision::F64Reference,
+        )
+    }
+
     #[test]
     fn base_matrix_peaks_at_true_shift() {
         // b[t] = a[t - 3]: κ(a[t], b[t - l]) is maximal when t - l - 3 == t,
         // i.e. lag l = -3.
         let (a, b) = shifted_series(40, 3);
-        let m = base_cross_trrs(&a, &b, 8);
+        let m = base(&a, &b, 8);
         for t in 12..30 {
             let (lag, v) = m.column_peaks()[t];
             assert_eq!(lag, -3, "peak at the planted shift (t={t})");
             assert!((v - 1.0).abs() < 1e-9);
         }
         // And the mirrored computation peaks at +3.
-        let m2 = base_cross_trrs(&b, &a, 8);
+        let m2 = base(&b, &a, 8);
         let (lag, _) = m2.column_peaks()[20];
         assert_eq!(lag, 3);
     }
@@ -511,7 +450,7 @@ mod tests {
     #[test]
     fn out_of_range_lags_are_zero() {
         let (a, b) = shifted_series(10, 0);
-        let m = base_cross_trrs(&a, &b, 4);
+        let m = base(&a, &b, 4);
         // At t = 0, any positive lag reaches before the series start.
         assert_eq!(m.at(0, 1), 0.0);
         assert_eq!(m.at(0, 4), 0.0);
@@ -539,8 +478,8 @@ mod tests {
         let (a, b) = shifted_series(30, 2);
         let w = 5;
         let v = 5;
-        let base = base_cross_trrs(&a, &b, w);
-        let g = virtual_average(&base, v);
+        let base = base(&a, &b, w);
+        let g = virtual_average_with(&base, v, &Pool::serial());
         for t in 8..22 {
             for lag in -3..=3isize {
                 let direct = crate::trrs::trrs_massive(&a, &b, t, (t as isize - lag) as usize, v);
@@ -556,8 +495,8 @@ mod tests {
     #[test]
     fn virtual_average_v1_is_identity() {
         let (a, b) = shifted_series(12, 1);
-        let base = base_cross_trrs(&a, &b, 3);
-        let g = virtual_average(&base, 1);
+        let base = base(&a, &b, 3);
+        let g = virtual_average_with(&base, 1, &Pool::serial());
         assert_eq!(g, base);
     }
 
@@ -572,7 +511,7 @@ mod tests {
                 virtual_antennas: 3,
             },
         );
-        let avg = AlignmentMatrix::average(&[&m, &m, &m]);
+        let avg = AlignmentMatrix::average_with(&[&m, &m, &m], &Pool::serial());
         for t in 0..m.n_times() {
             for k in 0..m.n_lags() {
                 assert!((avg.values[t][k] - m.values[t][k]).abs() < 1e-12);
@@ -583,12 +522,13 @@ mod tests {
     #[test]
     fn pooled_paths_are_bit_identical_to_serial() {
         let (a, b) = shifted_series(60, 2);
-        let serial = base_cross_trrs(&a, &b, 9);
-        let g_serial = virtual_average(&serial, 7);
-        let avg_serial = AlignmentMatrix::average(&[&serial, &g_serial]);
+        let serial = base(&a, &b, 9);
+        let g_serial = virtual_average_with(&serial, 7, &Pool::serial());
+        let avg_serial = AlignmentMatrix::average_with(&[&serial, &g_serial], &Pool::serial());
         for threads in [2usize, 4, 8] {
             let pool = Pool::new(threads, 5);
-            let base = base_cross_trrs_range_with(&a, &b, 9, 0, a.len(), &pool);
+            let base =
+                base_cross_trrs_range_prec(&a, &b, 9, (0, a.len()), &pool, Precision::F64Reference);
             let g = virtual_average_with(&base, 7, &pool);
             let avg = AlignmentMatrix::average_with(&[&base, &g], &pool);
             for (x, y) in [(&base, &serial), (&g, &g_serial), (&avg, &avg_serial)] {
@@ -608,18 +548,18 @@ mod tests {
         let (a, b) = shifted_series(12, 0);
         // Short `a`: 5 columns, but lags may reach the *longer* `b` —
         // at t = 4, lag −3 reads b[7], which exists.
-        let m = base_cross_trrs(&a[..5], &b, 3);
+        let m = base(&a[..5], &b, 3);
         assert_eq!(m.n_times(), 5);
         assert_eq!(m.n_lags(), 7);
         assert!(m.at(4, -3) > 0.0, "source b[7] is in range");
         assert_eq!(m.at(0, 1), 0.0, "source b[-1] stays masked");
         // Short `b`: the mirror case masks sources beyond b's end.
-        let m = base_cross_trrs(&a, &b[..5], 3);
+        let m = base(&a, &b[..5], 3);
         assert_eq!(m.n_times(), 5);
         assert_eq!(m.at(4, -3), 0.0, "source b[7] does not exist");
         assert!(m.at(4, 2) > 0.0, "source b[2] does");
         // The masked entries aside, values equal the symmetric case.
-        let full = base_cross_trrs(&a, &b, 3);
+        let full = base(&a, &b, 3);
         for t in 0..5 {
             for lag in -3..=3isize {
                 let v = m.at(t, lag);
@@ -657,7 +597,7 @@ mod tests {
         let reference =
             base_cross_trrs_range_prec(&a, &b, w, (0, 32), &pool, Precision::F64Reference);
         for t in 0..32 {
-            let scalar = cross_trrs_row_f32(&a, &b, w, t);
+            let scalar = cross_trrs_row(&a, &b, w, t, trrs_norm_f32);
             for (k, (x, y)) in fast.values[t].iter().zip(&scalar).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "t={t} k={k}");
             }

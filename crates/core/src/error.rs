@@ -42,6 +42,14 @@ pub enum Error {
         /// Sample index (or stream sequence number) of the snapshot.
         sample: usize,
     },
+    /// A gyroscope track whose length differs from the motion estimate
+    /// it is fused with; batch fusion pairs the two sample by sample.
+    GyroLengthMismatch {
+        /// Samples in the motion estimate.
+        estimate: usize,
+        /// Samples in the gyroscope track.
+        gyro: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -66,6 +74,12 @@ impl fmt::Display for Error {
                 "non-finite CSI: antenna {antenna} at sample {sample} contains NaN \
                  or infinite values; sanitize the capture (rim-csi rejects such \
                  packets as loss) or drop the sample before offering it"
+            ),
+            Error::GyroLengthMismatch { estimate, gyro } => write!(
+                f,
+                "gyro track length mismatch: the motion estimate has {estimate} samples \
+                 but the gyroscope track has {gyro}; resample the gyro to the \
+                 estimate's rate and span"
             ),
         }
     }
@@ -97,5 +111,11 @@ mod tests {
         };
         assert!(e.to_string().contains("antenna 2"), "{e}");
         assert!(e.to_string().contains("sample 41"), "{e}");
+        let e = Error::GyroLengthMismatch {
+            estimate: 10,
+            gyro: 5,
+        };
+        assert!(e.to_string().contains("10 samples"), "{e}");
+        assert!(e.to_string().contains("has 5"), "{e}");
     }
 }

@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 /// (it is backfilled when it does) or when the source predates the ring.
 /// Materialisation re-masks entries against the flush-time series bounds,
 /// which keeps the result bit-identical to
-/// [`crate::alignment::base_cross_trrs_range_with`] on the materialised
+/// [`crate::alignment::base_cross_trrs_range_prec`] on the materialised
 /// series.
 #[derive(Debug, Clone)]
 pub struct ColumnCache {
@@ -229,7 +229,7 @@ impl ColumnCache {
     /// ring-relative columns `t0..t1`, re-masked against a series of
     /// `series_len` samples. The copy is tiled across `pool`'s workers;
     /// values are bit-identical to
-    /// [`crate::alignment::base_cross_trrs_range_with`] on the
+    /// [`crate::alignment::base_cross_trrs_range_prec`] on the
     /// materialised ring series for every thread count.
     ///
     /// # Panics
@@ -686,7 +686,7 @@ impl ProvisionalTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alignment::{base_cross_trrs_range, base_cross_trrs_range_with};
+    use crate::alignment::base_cross_trrs_range_prec;
     use rim_array::HALF_WAVELENGTH;
     use rim_csi::frame::CsiSnapshot;
     use rim_dsp::complex::Complex64;
@@ -695,6 +695,17 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
         z ^ (z >> 31)
+    }
+
+    /// The batch base matrix over columns `t0..t1`, at f64.
+    fn batch_base(
+        a: &[NormSnapshot],
+        b: &[NormSnapshot],
+        window: usize,
+        range: (usize, usize),
+        pool: &Pool,
+    ) -> AlignmentMatrix {
+        base_cross_trrs_range_prec(a, b, window, range, pool, Precision::F64Reference)
     }
 
     fn snapshot(tag: u64) -> NormSnapshot {
@@ -731,7 +742,7 @@ mod tests {
 
         let p = cache.pair_index(0, 1).expect("pair tracked");
         let pool = Pool::serial();
-        let batch = base_cross_trrs_range(&a, &b, window, 3, len - 2);
+        let batch = batch_base(&a, &b, window, (3, len - 2), &pool);
         let cached = cache.base_matrix_with(p, 3, len - 2, len, &pool);
         assert_eq!(batch.window, cached.window);
         for (rb, rc) in batch.values.iter().zip(&cached.values) {
@@ -741,13 +752,13 @@ mod tests {
         }
         // The strided pre-detection probe fold, too.
         for t in 0..len {
-            let m = base_cross_trrs_range(&a, &b, window, t, t + 1);
+            let m = batch_base(&a, &b, window, (t, t + 1), &pool);
             let direct = m.values[0].iter().cloned().fold(0.0f64, f64::max);
             assert_eq!(direct.to_bits(), cache.column_max(p, t, len).to_bits());
         }
         // Threaded materialisation is bit-identical as well.
         let pool4 = Pool::new(4, 3);
-        let batch4 = base_cross_trrs_range_with(&a, &b, window, 0, len, &pool4);
+        let batch4 = batch_base(&a, &b, window, (0, len), &pool4);
         let cached4 = cache.base_matrix_with(p, 0, len, len, &pool4);
         assert_eq!(batch4, cached4);
     }
@@ -783,7 +794,7 @@ mod tests {
         let trimmed_len = len - ring_base;
         let ta: Vec<NormSnapshot> = a[ring_base..].to_vec();
         let tb: Vec<NormSnapshot> = b[ring_base..].to_vec();
-        let batch = base_cross_trrs_range(&ta, &tb, window, 0, trimmed_len);
+        let batch = batch_base(&ta, &tb, window, (0, trimmed_len), &Pool::serial());
         let cached = cache.base_matrix_with(p, 0, trimmed_len, trimmed_len, &Pool::serial());
         assert_eq!(batch, cached);
     }

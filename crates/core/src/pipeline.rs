@@ -4,7 +4,7 @@
 //! rotation reckoning, integrated into a motion estimate.
 
 use crate::alignment::{
-    base_cross_trrs_range_prec, virtual_average_range_with, AlignmentConfig, AlignmentMatrix,
+    base_cross_trrs_range_prec, virtual_average_with, AlignmentConfig, AlignmentMatrix,
 };
 use crate::error::Error;
 use crate::incremental::ColumnCache;
@@ -1621,8 +1621,8 @@ impl Rim {
                 self.config.precision,
             ),
         };
-        let full = virtual_average_range_with(&base, cfg.virtual_antennas, pool);
-        let gate = virtual_average_range_with(&base, cfg.virtual_antennas.min(5), pool);
+        let full = virtual_average_with(&base, cfg.virtual_antennas, pool);
+        let gate = virtual_average_with(&base, cfg.virtual_antennas.min(5), pool);
         (full, gate)
     }
 }

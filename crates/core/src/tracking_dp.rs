@@ -46,14 +46,6 @@ pub struct TrackedPath {
     pub jumpiness: f64,
 }
 
-/// Tracks the optimal lag path over the whole matrix.
-///
-/// # Panics
-/// Panics on an empty matrix.
-pub fn track_peaks(m: &AlignmentMatrix, config: DpConfig) -> TrackedPath {
-    track_peaks_range(m, 0, m.n_times(), config)
-}
-
 /// Per-step cost of one lag of jump. ω is halved relative to the paper's
 /// double-counting form (see module docs). Shared by the batch tracker
 /// and the incremental provisional tracker so both price jumps
@@ -71,7 +63,7 @@ pub(crate) fn dp_jump_cost(omega: f64, window: usize) -> f64 {
 /// the column whose TRRS values are `row`, under jump cost `c` per lag of
 /// movement, and returns the chosen parent lag index per lag. The
 /// distance transform is the exact two-sweep arithmetic of
-/// [`track_peaks_range`] (extracted so the incremental forward pass in
+/// [`track_peaks`] (extracted so the incremental forward pass in
 /// [`crate::incremental`] is bit-identical to the batch pass);
 /// `best_prev` / `best_parent` are caller-provided scratch, fully
 /// overwritten here.
@@ -114,30 +106,25 @@ pub(crate) fn dp_advance_column(
     parent_row
 }
 
-/// Tracks the optimal lag path over columns `t0..t1`.
+/// Tracks the optimal lag path over the whole matrix.
 ///
 /// # Panics
-/// Panics if the range is empty or out of bounds.
-pub fn track_peaks_range(
-    m: &AlignmentMatrix,
-    t0: usize,
-    t1: usize,
-    config: DpConfig,
-) -> TrackedPath {
-    assert!(t0 < t1 && t1 <= m.n_times(), "invalid column range");
+/// Panics on a matrix with no time columns.
+pub fn track_peaks(m: &AlignmentMatrix, config: DpConfig) -> TrackedPath {
+    let steps = m.n_times();
+    assert!(steps > 0, "empty alignment matrix");
     let n_lags = m.n_lags();
     let c = dp_jump_cost(config.omega, m.window);
 
-    let steps = t1 - t0;
-    let mut score: Vec<f64> = m.values[t0].clone();
+    let mut score: Vec<f64> = m.values[0].clone();
     let mut parents: Vec<Vec<u32>> = Vec::with_capacity(steps.saturating_sub(1));
     let mut best_prev = vec![0.0f64; n_lags];
     let mut best_parent = vec![0u32; n_lags];
 
-    for t in t0 + 1..t1 {
+    for row in &m.values[1..] {
         parents.push(dp_advance_column(
             &mut score,
-            &m.values[t],
+            row,
             c,
             &mut best_prev,
             &mut best_parent,
@@ -151,19 +138,18 @@ pub fn track_peaks_range(
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
         .expect("non-empty lag axis");
     let final_score = score[l];
-    let mut lags_rev = Vec::with_capacity(steps);
-    lags_rev.push(m.lag_of(l));
+    let mut lags = Vec::with_capacity(steps);
+    lags.push(m.lag_of(l));
     for parent_row in parents.iter().rev() {
         l = parent_row[l] as usize;
-        lags_rev.push(m.lag_of(l));
+        lags.push(m.lag_of(l));
     }
-    lags_rev.reverse();
-    let lags = lags_rev;
+    lags.reverse();
 
     let mean_trrs = lags
         .iter()
         .enumerate()
-        .map(|(i, &lag)| m.at(t0 + i, lag))
+        .map(|(t, &lag)| m.at(t, lag))
         .sum::<f64>()
         / steps as f64;
     let jumpiness = if steps > 1 {
@@ -310,23 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn range_tracking_windows() {
-        let rows: Vec<Vec<f64>> = (0..10)
-            .map(|t| {
-                let mut row = vec![0.1; 5];
-                row[if t < 5 { 1 } else { 3 }] = 0.9;
-                row
-            })
-            .collect();
-        let m = matrix(2, rows);
-        let first = track_peaks_range(&m, 0, 5, DpConfig::default());
-        let second = track_peaks_range(&m, 5, 10, DpConfig::default());
-        assert!(first.lags.iter().all(|&l| l == -1));
-        assert!(second.lags.iter().all(|&l| l == 1));
-        assert_eq!(first.lags.len(), 5);
-    }
-
-    #[test]
     fn strong_smoothing_flattens_path() {
         // With a huge |ω|, the path refuses to move even for a better
         // ridge elsewhere.
@@ -338,10 +307,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid column range")]
+    #[should_panic(expected = "empty alignment matrix")]
     fn empty_range_panics() {
-        let m = matrix(1, vec![vec![0.0; 3]]);
-        let _ = track_peaks_range(&m, 1, 1, DpConfig::default());
+        let m = matrix(1, Vec::new());
+        let _ = track_peaks(&m, DpConfig::default());
     }
 
     #[test]

@@ -2,19 +2,27 @@
 
 use proptest::prelude::*;
 use rim_array::{ArrayGeometry, HALF_WAVELENGTH};
-use rim_core::alignment::{
-    base_cross_trrs, base_cross_trrs_range_with, virtual_average, virtual_average_with,
-    AlignmentMatrix,
-};
+use rim_core::alignment::{base_cross_trrs_range_prec, virtual_average_with, AlignmentMatrix};
 use rim_core::stream::{GapFilter, GapOutcome, RimStream, StreamEvent};
 use rim_core::tracking_dp::{track_peaks, DpConfig};
 use rim_core::trrs::{trrs_cfr, trrs_massive, trrs_norm, NormSnapshot};
-use rim_core::RimConfig;
+use rim_core::{Precision, RimConfig};
 use rim_csi::frame::CsiSnapshot;
 use rim_dsp::complex::Complex64;
 use rim_dsp::interp::fill_gaps_complex;
 use rim_par::Pool;
 use std::sync::OnceLock;
+
+/// The whole-series base matrix at f64 over `pool`.
+fn base_matrix(
+    a: &[NormSnapshot],
+    b: &[NormSnapshot],
+    window: usize,
+    pool: &Pool,
+) -> AlignmentMatrix {
+    let range = (0, a.len().min(b.len()));
+    base_cross_trrs_range_prec(a, b, window, range, pool, Precision::F64Reference)
+}
 
 fn cfr_strategy(n: usize) -> impl Strategy<Value = Vec<Complex64>> {
     prop::collection::vec(
@@ -82,13 +90,13 @@ proptest! {
         a in snapshot_series(16, 8),
         b in snapshot_series(16, 8),
     ) {
-        let m = base_cross_trrs(&a, &b, 4);
+        let m = base_matrix(&a, &b, 4, &Pool::serial());
         for row in &m.values {
             for &v in row {
                 prop_assert!((0.0..=1.0 + 1e-9).contains(&v));
             }
         }
-        let g = virtual_average(&m, 5);
+        let g = virtual_average_with(&m, 5, &Pool::serial());
         for row in &g.values {
             for &v in row {
                 prop_assert!((0.0..=1.0 + 1e-9).contains(&v));
@@ -105,11 +113,11 @@ proptest! {
     ) {
         // Tiling the hot path must never change a single bit, for any
         // thread count or tile size.
-        let base = base_cross_trrs(&a, &b, window);
-        let avg = virtual_average(&base, v);
+        let base = base_matrix(&a, &b, window, &Pool::serial());
+        let avg = virtual_average_with(&base, v, &Pool::serial());
         for threads in [1usize, 2, 4, 8] {
             let pool = Pool::new(threads, 3);
-            let base_p = base_cross_trrs_range_with(&a, &b, window, 0, a.len(), &pool);
+            let base_p = base_matrix(&a, &b, window, &pool);
             let avg_p = virtual_average_with(&base_p, v, &pool);
             for (x, y) in [(&base_p, &base), (&avg_p, &avg)] {
                 prop_assert_eq!(x.window, y.window);
@@ -129,9 +137,9 @@ proptest! {
         a in snapshot_series(16, 6),
         b in snapshot_series(16, 6),
     ) {
-        let m1 = base_cross_trrs(&a, &b, 3);
-        let m2 = base_cross_trrs(&b, &a, 3);
-        let serial = AlignmentMatrix::average(&[&m1, &m2]);
+        let m1 = base_matrix(&a, &b, 3, &Pool::serial());
+        let m2 = base_matrix(&b, &a, 3, &Pool::serial());
+        let serial = AlignmentMatrix::average_with(&[&m1, &m2], &Pool::serial());
         for threads in [2usize, 4, 8] {
             let pool = Pool::new(threads, 2);
             let par = AlignmentMatrix::average_with(&[&m1, &m2], &pool);

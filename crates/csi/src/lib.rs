@@ -29,8 +29,6 @@ pub use frame::{CsiFrame, CsiSnapshot, DecodeError};
 pub use impairments::{HardwareProfile, ImpairmentModel};
 pub use loss::{LossModel, LossProcess};
 pub use recorder::{CsiRecorder, CsiRecording, DenseCsi, DeviceConfig, NicConfig, RecorderConfig};
-pub use sanitize::{
-    sanitize_linear_phase, sanitize_matched_delay, sanitize_snapshot, unwrap_phase, SanitizeError,
-};
+pub use sanitize::{sanitize_matched_delay, sanitize_snapshot, unwrap_phase, SanitizeError};
 pub use storage::{load_recording, save_recording, LoadError};
 pub use sync::{synced_from_recording, synchronize, SyncedSample};

@@ -1,14 +1,15 @@
 //! CSI phase sanitation.
 //!
 //! Removes the linear phase distortion (STO/SFO slope plus constant
-//! offset) from a CFR by fitting a line to the unwrapped phase across
-//! subcarriers and subtracting it — the calibration approach of SpotFi
-//! [13] that the paper applies per antenna independently before computing
-//! TRRS (§3.2, footnote 3). The remaining per-packet *initial* phase is
-//! irrelevant because the TRRS takes a magnitude.
+//! offset) from a CFR — the calibration the paper applies per antenna
+//! independently before computing TRRS (§3.2, footnote 3). SpotFi \[13\]
+//! fits a line to the unwrapped phase; [`sanitize_matched_delay`] finds
+//! the slope by a matched-delay search instead, which one corrupted
+//! deep-fade phase cannot derail. The remaining per-packet *initial*
+//! phase is irrelevant because the TRRS takes a magnitude.
 
 use rim_dsp::complex::Complex64;
-use rim_dsp::stats::{linear_fit, wrap_angle};
+use rim_dsp::stats::wrap_angle;
 use std::cell::RefCell;
 
 /// Unwraps a phase sequence: adds multiples of 2π so consecutive samples
@@ -57,28 +58,6 @@ pub fn unwrap_phase(phases: &[f64]) -> Vec<f64> {
 /// Turns [`unwrap_phase`] steps through one at a time before it reduces a
 /// jump in closed form. Phases from `arg()` jump by at most one turn.
 const UNWRAP_LOOP_TURNS: u32 = 1 << 16;
-
-/// Removes the best-fit linear phase (slope over subcarrier index and
-/// intercept) from a CFR in place.
-///
-/// `indices` are the subcarrier indices of the CFR entries (they need not
-/// be contiguous — e.g. the DC gap or Intel 5300 grouping). Magnitudes are
-/// untouched. Vectors shorter than 2 entries are left unchanged.
-pub fn sanitize_linear_phase(cfr: &mut [Complex64], indices: &[i32]) {
-    if cfr.len() < 2 || cfr.len() != indices.len() {
-        return;
-    }
-    let raw: Vec<f64> = cfr.iter().map(|h| h.arg()).collect();
-    let unwrapped = unwrap_phase(&raw);
-    let xs: Vec<f64> = indices.iter().map(|&i| i as f64).collect();
-    let (slope, intercept) = linear_fit(&xs, &unwrapped);
-    if !slope.is_finite() || !intercept.is_finite() {
-        return;
-    }
-    for (h, &x) in cfr.iter_mut().zip(&xs) {
-        *h *= Complex64::cis(-(slope * x + intercept));
-    }
-}
 
 /// Removes the linear phase via a *matched-delay* search: finds the slope
 /// `β★ = argmax_β |Σ_k H_k e^{−jβ·idx_k}|` (the delay of the strongest
@@ -350,93 +329,6 @@ mod tests {
             (stuck[1] - stuck[0]).abs() <= std::f64::consts::PI,
             "{stuck:?}"
         );
-    }
-
-    #[test]
-    fn sanitize_removes_pure_linear_phase() {
-        let indices: Vec<i32> = (-8..=-1).chain(1..=8).collect();
-        let mut cfr: Vec<Complex64> = indices
-            .iter()
-            .map(|&i| Complex64::from_polar(2.0, 0.3 * i as f64 + 1.1))
-            .collect();
-        sanitize_linear_phase(&mut cfr, &indices);
-        for h in &cfr {
-            assert!((h.abs() - 2.0).abs() < 1e-9, "magnitude preserved");
-            assert!(h.arg().abs() < 1e-6, "phase flattened, got {}", h.arg());
-        }
-    }
-
-    #[test]
-    fn sanitize_preserves_multipath_structure() {
-        // A two-path channel has nonlinear phase; sanitation must keep the
-        // curvature (the fingerprint) while removing added linear ramps.
-        let indices: Vec<i32> = (-28..=-1).chain(1..=28).collect();
-        let channel: Vec<Complex64> = indices
-            .iter()
-            .map(|&i| {
-                Complex64::cis(0.02 * i as f64) + Complex64::from_polar(0.6, 0.3 * i as f64 + 0.9)
-            })
-            .collect();
-        let mut dirty: Vec<Complex64> = channel
-            .iter()
-            .zip(&indices)
-            .map(|(h, &i)| *h * Complex64::cis(0.11 * i as f64 + 2.0))
-            .collect();
-        let mut clean = channel.clone();
-        sanitize_linear_phase(&mut dirty, &indices);
-        sanitize_linear_phase(&mut clean, &indices);
-        // After sanitising both, they agree (same residual after removing
-        // each one's own linear fit).
-        for (d, c) in dirty.iter().zip(&clean) {
-            assert!((*d - *c).abs() < 1e-6);
-        }
-        // And the result still differs from a flat channel: curvature kept.
-        let curvature: f64 = clean
-            .windows(3)
-            .map(|w| {
-                let d1 = (w[1] * w[0].conj()).arg();
-                let d2 = (w[2] * w[1].conj()).arg();
-                (d2 - d1).abs()
-            })
-            .sum();
-        assert!(curvature > 0.1, "multipath curvature survives: {curvature}");
-    }
-
-    #[test]
-    fn sanitize_makes_trrs_invariant_to_timing_offset() {
-        // The end goal: TRRS of (sanitised dirty) vs (sanitised clean) ≈ 1.
-        let indices: Vec<i32> = (-28..=-1).chain(1..=28).collect();
-        let channel: Vec<Complex64> = indices
-            .iter()
-            .map(|&i| {
-                Complex64::cis(0.05 * i as f64)
-                    + Complex64::from_polar(0.5, -0.21 * i as f64)
-                    + Complex64::from_polar(0.3, 0.4 * i as f64 + 1.0)
-            })
-            .collect();
-        let mut dirty: Vec<Complex64> = channel
-            .iter()
-            .zip(&indices)
-            .map(|(h, &i)| *h * Complex64::from_polar(1.0, -0.23 * i as f64 + 0.7))
-            .collect();
-        let mut clean = channel.clone();
-        sanitize_linear_phase(&mut dirty, &indices);
-        sanitize_linear_phase(&mut clean, &indices);
-        let ip = rim_dsp::inner_product(&clean, &dirty).abs();
-        let trrs = ip * ip / (rim_dsp::norm_sqr(&clean) * rim_dsp::norm_sqr(&dirty));
-        assert!(trrs > 0.999, "sanitised TRRS ≈ 1, got {trrs}");
-    }
-
-    #[test]
-    fn sanitize_short_or_mismatched_is_noop() {
-        let mut one = vec![Complex64::from_polar(1.0, 0.5)];
-        let orig = one.clone();
-        sanitize_linear_phase(&mut one, &[0]);
-        assert_eq!(one, orig);
-        let mut two = vec![Complex64::from_re(1.0); 4];
-        let orig2 = two.clone();
-        sanitize_linear_phase(&mut two, &[0, 1]); // length mismatch
-        assert_eq!(two, orig2);
     }
 
     #[test]

@@ -4,14 +4,16 @@
 use super::config::{FusionConfig, MapFusionConfig};
 use super::eskf::{Eskf, E_BG, E_THETA, E_V};
 use super::zupt::ZuptDetector;
-use super::FusedTrack;
+use super::{segment_weight, FusedTrack};
+use crate::particle::ParticleFilter;
 use rim_channel::floorplan::Floorplan;
 use rim_core::{
     Confidence, Error, FusedMode, ImuSample, MotionEstimate, RimStream, StreamEvent, StreamInput,
 };
-use rim_dsp::geom::Point2;
+use rim_dsp::geom::{Point2, Vec2};
 use rim_dsp::stats::wrap_angle;
 use rim_obs::{fusion_metric, stage, ActiveTrace, NullProbe, Probe};
+use rim_sensors::integrate_gyro;
 
 /// Innovation gate width for RIM *provisional* distance corrections, in
 /// standard deviations of the innovation. A provisional whose innovation
@@ -74,43 +76,96 @@ impl Fuser {
 
     /// Batch fusion of a RIM estimate with a gyroscope track
     /// (paper §6.3.3): per-sample displacement along the
-    /// gyro-integrated heading, down-weighted by segment confidence
-    /// under [`FusionConfig::confidence_floor`]. Starts from the
-    /// configured initial pose.
+    /// gyro-integrated heading, down-weighted by the confidence of the
+    /// containing segment under [`FusionConfig::confidence_floor`].
+    /// Samples outside any segment keep full weight (movement gating
+    /// already excludes them), and samples without a finite speed add no
+    /// displacement. Starts from the configured initial pose.
     ///
-    /// # Panics
-    /// Panics if the gyro track length differs from the estimate's.
-    pub fn fuse(&self, estimate: &MotionEstimate, gyro_z: &[f64]) -> Vec<Point2> {
-        super::fuse_weighted_impl(
-            estimate,
-            gyro_z,
-            self.config.initial_position,
-            self.config.initial_heading,
-            self.config.confidence_floor,
-        )
+    /// `gyro_z` must be sampled at the estimate's rate; a track of a
+    /// different length is rejected with [`Error::GyroLengthMismatch`].
+    pub fn fuse(&self, estimate: &MotionEstimate, gyro_z: &[f64]) -> Result<Vec<Point2>, Error> {
+        let orientation = self.orientation(estimate, gyro_z)?;
+        let dt = 1.0 / estimate.sample_rate_hz;
+        let mut pos = self.config.initial_position;
+        let mut out = Vec::with_capacity(orientation.len());
+        for (i, &theta) in orientation.iter().enumerate() {
+            let v = estimate.speed_mps[i];
+            if v.is_finite() && v > 0.0 && estimate.moving[i] {
+                let w = estimate
+                    .segments
+                    .iter()
+                    .find(|s| s.start <= i && i < s.end)
+                    .map_or(1.0, |s| segment_weight(s, self.config.confidence_floor));
+                pos += Vec2::from_angle(theta) * (v * dt * w);
+            }
+            out.push(pos);
+        }
+        Ok(out)
     }
 
     /// Batch fusion through the map-constrained particle filter
-    /// (paper Fig. 21), yielding both the dead-reckoned and the
-    /// filtered track.
+    /// (paper Fig. 21), yielding both the unweighted dead-reckoned track
+    /// and the filtered track, which steps the filter once every
+    /// [`MapFusionConfig::samples_per_step`] samples.
     ///
-    /// # Panics
-    /// Panics if the gyro track length differs from the estimate's.
+    /// Rejects a gyro track of the wrong length like [`Fuser::fuse`].
     pub fn fuse_with_map(
         &self,
         estimate: &MotionEstimate,
         gyro_z: &[f64],
         floorplan: &Floorplan,
         map: &MapFusionConfig,
-    ) -> FusedTrack {
-        super::fuse_map_impl(
-            estimate,
+    ) -> Result<FusedTrack, Error> {
+        let orientation = self.orientation(estimate, gyro_z)?;
+        let dt = 1.0 / estimate.sample_rate_hz;
+        let start = self.config.initial_position;
+        let mut pf = ParticleFilter::new(floorplan.clone(), start, map.filter, map.seed);
+        let mut dead_reckoned = Vec::with_capacity(orientation.len());
+        let mut filtered = Vec::with_capacity(orientation.len());
+        let (mut pos, mut current) = (start, start);
+        let mut pending_dx = Vec2::ZERO;
+        let mut since_step = 0usize;
+        for (i, &theta) in orientation.iter().enumerate() {
+            let v = estimate.speed_mps[i];
+            if v.is_finite() && v > 0.0 && estimate.moving[i] {
+                let step = Vec2::from_angle(theta) * (v * dt);
+                pos += step;
+                pending_dx = pending_dx + step;
+            }
+            dead_reckoned.push(pos);
+            since_step += 1;
+            if since_step >= map.samples_per_step {
+                let d = pending_dx.norm();
+                if d > 1e-9 {
+                    let dt_s = map.samples_per_step as f64 / estimate.sample_rate_hz;
+                    current = pf.step(d, pending_dx.angle(), dt_s);
+                }
+                pending_dx = Vec2::ZERO;
+                since_step = 0;
+            }
+            filtered.push(current);
+        }
+        Ok(FusedTrack {
+            dead_reckoned,
+            filtered,
+        })
+    }
+
+    /// The gyro-integrated heading track for batch fusion, once `gyro_z`
+    /// is checked to pair sample by sample with `estimate`.
+    fn orientation(&self, estimate: &MotionEstimate, gyro_z: &[f64]) -> Result<Vec<f64>, Error> {
+        if gyro_z.len() != estimate.speed_mps.len() {
+            return Err(Error::GyroLengthMismatch {
+                estimate: estimate.speed_mps.len(),
+                gyro: gyro_z.len(),
+            });
+        }
+        Ok(integrate_gyro(
             gyro_z,
-            floorplan,
-            self.config.initial_position,
+            estimate.sample_rate_hz,
             self.config.initial_heading,
-            map,
-        )
+        ))
     }
 
     /// Wraps a streaming RIM engine in the error-state filter,

@@ -19,8 +19,7 @@
 //!   gaps and blackouts. See DESIGN.md for the filter derivation.
 //!
 //! Everything is configured through [`Fuser::builder`], which validates
-//! the full [`FusionConfig`] up front. The free functions at the bottom
-//! of this module are the pre-builder API, kept as deprecated wrappers.
+//! the full [`FusionConfig`] up front.
 
 mod config;
 mod engine;
@@ -31,11 +30,8 @@ pub use config::{FusionConfig, MapFusionConfig};
 pub use engine::{FusedSession, FusedStream, Fuser, FuserBuilder};
 pub use zupt::ZuptDetector;
 
-use crate::particle::ParticleFilter;
-use rim_channel::floorplan::Floorplan;
-use rim_core::{MotionEstimate, SegmentEstimate};
-use rim_dsp::geom::{Point2, Vec2};
-use rim_sensors::integrate_gyro;
+use rim_core::SegmentEstimate;
+use rim_dsp::geom::Point2;
 
 /// A fused trajectory: per-sample positions plus the raw inputs used.
 #[derive(Debug, Clone)]
@@ -58,150 +54,12 @@ pub fn segment_weight(segment: &SegmentEstimate, min_confidence: f64) -> f64 {
     (segment.confidence.score() / min_confidence).clamp(0.0, 1.0)
 }
 
-/// The batch dead-reckoning body shared by [`Fuser::fuse`] and the
-/// deprecated free functions: displacement along the gyro-integrated
-/// heading, scaled by the confidence weight of the containing segment
-/// (samples outside any segment keep full weight — movement gating
-/// already excludes them; `min_confidence <= 0` disables weighting).
-fn fuse_weighted_impl(
-    estimate: &MotionEstimate,
-    gyro_z: &[f64],
-    start: Point2,
-    initial_heading: f64,
-    min_confidence: f64,
-) -> Vec<Point2> {
-    assert_eq!(
-        gyro_z.len(),
-        estimate.speed_mps.len(),
-        "gyro and RIM tracks must align"
-    );
-    let orientation = integrate_gyro(gyro_z, estimate.sample_rate_hz, initial_heading);
-    let dt = 1.0 / estimate.sample_rate_hz;
-    let mut pos = start;
-    let mut out = Vec::with_capacity(gyro_z.len());
-    for (i, &theta) in orientation.iter().enumerate() {
-        let v = estimate.speed_mps[i];
-        if v.is_finite() && v > 0.0 && estimate.moving[i] {
-            let w = estimate
-                .segments
-                .iter()
-                .find(|s| s.start <= i && i < s.end)
-                .map_or(1.0, |s| segment_weight(s, min_confidence));
-            pos += Vec2::from_angle(theta) * (v * dt * w);
-        }
-        out.push(pos);
-    }
-    out
-}
-
-/// The map-fusion body shared by [`Fuser::fuse_with_map`] and the
-/// deprecated free function: unweighted dead reckoning plus the
-/// particle filter stepped at a coarser rate.
-fn fuse_map_impl(
-    estimate: &MotionEstimate,
-    gyro_z: &[f64],
-    floorplan: &Floorplan,
-    start: Point2,
-    initial_heading: f64,
-    config: &MapFusionConfig,
-) -> FusedTrack {
-    let dead_reckoned = fuse_weighted_impl(estimate, gyro_z, start, initial_heading, 0.0);
-
-    let orientation = integrate_gyro(gyro_z, estimate.sample_rate_hz, initial_heading);
-    let dt = 1.0 / estimate.sample_rate_hz;
-    let mut pf = ParticleFilter::new(floorplan.clone(), start, config.filter, config.seed);
-    let mut filtered = Vec::with_capacity(dead_reckoned.len());
-    let mut pending_dx = Vec2::ZERO;
-    let mut since_step = 0usize;
-    let mut current = start;
-    #[allow(clippy::needless_range_loop)] // three parallel series are indexed
-    for i in 0..dead_reckoned.len() {
-        let v = estimate.speed_mps[i];
-        if v.is_finite() && v > 0.0 && estimate.moving[i] {
-            pending_dx = pending_dx + Vec2::from_angle(orientation[i]) * (v * dt);
-        }
-        since_step += 1;
-        if since_step >= config.samples_per_step {
-            let d = pending_dx.norm();
-            if d > 1e-9 {
-                let dt_s = config.samples_per_step as f64 / estimate.sample_rate_hz;
-                current = pf.step(d, pending_dx.angle(), dt_s);
-            }
-            pending_dx = Vec2::ZERO;
-            since_step = 0;
-        }
-        filtered.push(current);
-    }
-    FusedTrack {
-        dead_reckoned,
-        filtered,
-    }
-}
-
-/// Fuses RIM's per-sample speed with a gyroscope orientation track into
-/// a world trajectory.
-///
-/// `gyro_z` must be sampled at the same rate as the motion estimate.
-/// Samples where RIM reports no finite speed contribute no displacement.
-///
-/// # Panics
-/// Panics if the gyro track length differs from the estimate's.
-#[deprecated(
-    since = "0.9.0",
-    note = "build a `Fuser` (`Fuser::builder()…build()`) and call `Fuser::fuse`"
-)]
-pub fn fuse_with_gyro(
-    estimate: &MotionEstimate,
-    gyro_z: &[f64],
-    start: Point2,
-    initial_heading: f64,
-) -> Vec<Point2> {
-    fuse_weighted_impl(estimate, gyro_z, start, initial_heading, 0.0)
-}
-
-/// [`fuse_with_gyro`], with each sample's displacement scaled by the
-/// confidence weight of the segment it belongs to.
-///
-/// # Panics
-/// Panics if the gyro track length differs from the estimate's.
-#[deprecated(
-    since = "0.9.0",
-    note = "build a `Fuser` with `confidence_floor` set and call `Fuser::fuse`"
-)]
-pub fn fuse_with_gyro_weighted(
-    estimate: &MotionEstimate,
-    gyro_z: &[f64],
-    start: Point2,
-    initial_heading: f64,
-    min_confidence: f64,
-) -> Vec<Point2> {
-    fuse_weighted_impl(estimate, gyro_z, start, initial_heading, min_confidence)
-}
-
-/// Runs RIM + gyro fusion, with and without the map-constrained
-/// particle filter (paper Fig. 21 shows both).
-///
-/// # Panics
-/// Panics if the gyro track length differs from the estimate's.
-#[deprecated(
-    since = "0.9.0",
-    note = "build a `Fuser` and call `Fuser::fuse_with_map` with a `MapFusionConfig`"
-)]
-pub fn fuse_with_map(
-    estimate: &MotionEstimate,
-    gyro_z: &[f64],
-    floorplan: &Floorplan,
-    start: Point2,
-    initial_heading: f64,
-    config: &MapFusionConfig,
-) -> FusedTrack {
-    fuse_map_impl(estimate, gyro_z, floorplan, start, initial_heading, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rim_channel::floorplan::Floorplan;
     use rim_core::pipeline::{Confidence, MotionEstimate, SegmentEstimate, SegmentKind};
+    use rim_core::Error;
 
     /// Builds a synthetic estimate: constant speed, no rotation, fully
     /// confident.
@@ -237,7 +95,7 @@ mod tests {
     fn fuse_straight_line() {
         let est = synthetic_estimate(200, 100.0, 1.0);
         let gyro = vec![0.0; 200];
-        let track = unweighted().fuse(&est, &gyro);
+        let track = unweighted().fuse(&est, &gyro).unwrap();
         let end = *track.last().unwrap();
         assert!((end.x - 2.0).abs() < 1e-9, "{end:?}");
         assert!(end.y.abs() < 1e-12);
@@ -251,7 +109,7 @@ mod tests {
         let est = synthetic_estimate(n, fs, 1.0);
         let w = std::f64::consts::FRAC_PI_2 / (n as f64 / fs);
         let gyro = vec![w; n];
-        let track = unweighted().fuse(&est, &gyro);
+        let track = unweighted().fuse(&est, &gyro).unwrap();
         let end = *track.last().unwrap();
         // An arc of length 2 with 90° net turn: endpoint at (R, R) with
         // R = 2/(π/2) ≈ 1.27.
@@ -272,7 +130,7 @@ mod tests {
             .initial_position(start)
             .build()
             .unwrap();
-        let track = fuser.fuse(&est, &vec![0.0; 100]);
+        let track = fuser.fuse(&est, &vec![0.0; 100]).unwrap();
         assert!(track.iter().all(|p| p.distance(start) < 1e-12));
     }
 
@@ -281,7 +139,9 @@ mod tests {
         let est = synthetic_estimate(400, 100.0, 0.5);
         let gyro = vec![0.0; 400];
         let fp = Floorplan::empty();
-        let out = unweighted().fuse_with_map(&est, &gyro, &fp, &MapFusionConfig::default());
+        let out = unweighted()
+            .fuse_with_map(&est, &gyro, &fp, &MapFusionConfig::default())
+            .unwrap();
         assert_eq!(out.dead_reckoned.len(), 400);
         assert_eq!(out.filtered.len(), 400);
         let dr_end = out.dead_reckoned.last().unwrap();
@@ -311,12 +171,13 @@ mod tests {
             ..good
         });
         let gyro = vec![0.0; n];
-        let full = unweighted().fuse(&est, &gyro);
+        let full = unweighted().fuse(&est, &gyro).unwrap();
         let weighted = Fuser::builder()
             .confidence_floor(0.5)
             .build()
             .unwrap()
-            .fuse(&est, &gyro);
+            .fuse(&est, &gyro)
+            .unwrap();
         let (full_end, wtd_end) = (full.last().unwrap(), weighted.last().unwrap());
         assert!((full_end.x - 2.0).abs() < 1e-9, "{full_end:?}");
         assert!(
@@ -328,9 +189,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must align")]
-    fn mismatched_gyro_length_panics() {
+    fn mismatched_gyro_length_is_a_typed_error() {
         let est = synthetic_estimate(10, 100.0, 1.0);
-        let _ = unweighted().fuse(&est, &[0.0; 5]);
+        let mismatch = Error::GyroLengthMismatch {
+            estimate: 10,
+            gyro: 5,
+        };
+        let err = unweighted().fuse(&est, &[0.0; 5]).unwrap_err();
+        assert_eq!(err, mismatch);
+        let err = unweighted()
+            .fuse_with_map(
+                &est,
+                &[0.0; 5],
+                &Floorplan::empty(),
+                &MapFusionConfig::default(),
+            )
+            .unwrap_err();
+        assert_eq!(err, mismatch);
     }
 }

@@ -71,7 +71,8 @@ fn main() {
             &imu.gyro_z,
             &floorplan,
             &MapFusionConfig::default(),
-        );
+        )
+        .expect("the IMU samples at the estimate's rate");
     println!(
         "RIM + gyro      : mean track error {:.2} m",
         mean_projection_error(&fused.dead_reckoned, &truth)

@@ -42,7 +42,9 @@ use rim_core::{track_peaks, DpConfig, TrackedPath};
 use rim_core::{trrs_avg, trrs_cfr, trrs_cir, trrs_massive, trrs_norm, NormSnapshot};
 // Precision modes: the f64 reference and the reduced-precision fast path,
 // with its scalar reference and the precision-aware matrix entry point.
-use rim_core::alignment::base_cross_trrs_range_prec;
+// One entry point per alignment stage: the base matrix over a column
+// range at a precision, then the virtual-antenna box filter.
+use rim_core::alignment::{base_cross_trrs_range_prec, virtual_average_with};
 use rim_core::{trrs_norm_f32, Precision};
 // The dependency-free SIMD kernel crate: dispatch-tier introspection.
 use rim_simd::{active_tier, force_tier, Tier};
@@ -88,6 +90,13 @@ fn entry_point_signatures_are_stable() {
     let _config_tracing: fn(RimConfig, usize) -> RimConfig = RimConfig::with_trace_sampling;
     let _config_precision: fn(RimConfig, Precision) -> RimConfig = RimConfig::precision;
     let _trrs_f32: fn(&NormSnapshot, &NormSnapshot) -> f64 = trrs_norm_f32;
+    // The alignment stages `perfbench` drives directly.
+    let _base_cross: BaseCrossFn = base_cross_trrs_range_prec;
+    let _virtual_average: fn(&AlignmentMatrix, usize, &rim_par::Pool) -> AlignmentMatrix =
+        virtual_average_with;
+    let _average: fn(&[&AlignmentMatrix], &rim_par::Pool) -> AlignmentMatrix =
+        AlignmentMatrix::average_with;
+    let _track_peaks: fn(&AlignmentMatrix, DpConfig) -> TrackedPath = track_peaks;
     // Serve configuration v2: one validated builder path.
     let _serve_builder: fn() -> ServeConfigBuilder = ServeConfig::builder;
     let _serve_build: fn(ServeConfigBuilder) -> Result<ServeConfig, Error> =
@@ -99,6 +108,9 @@ fn entry_point_signatures_are_stable() {
     let _fuser_build: fn(FuserBuilder) -> Result<Fuser, Error> = FuserBuilder::build;
     let _fuser_config: fn(&Fuser) -> &FusionConfig = Fuser::config;
     let _fuser_stream: fn(&Fuser, RimStream) -> FusedStream = Fuser::stream;
+    // Batch fusion rejects a misaligned gyro track with a typed error.
+    let _fuser_fuse: FuseFn = Fuser::fuse;
+    let _fuser_fuse_map: FuseWithMapFn = Fuser::fuse_with_map;
     let _fused_finish: fn(&mut FusedStream) -> Vec<StreamEvent> = FusedStream::finish;
     let _fused_position: fn(&FusedStream) -> rim_dsp::geom::Point2 = FusedStream::position;
     let _fused_total: fn(&FusedStream) -> f64 = FusedStream::total_distance;
@@ -133,44 +145,22 @@ type ClientImuFn =
     fn(&mut Client, u64, Vec<ImuSample>) -> std::io::Result<(Admit, Vec<StreamEvent>)>;
 type SanitizeSnapshotFn =
     fn(&mut [Vec<rim_dsp::complex::Complex64>], &[i32]) -> Result<(), SanitizeError>;
-
-/// The pre-builder fusion entry points survive as deprecated wrappers:
-/// still exported, still the documented signatures, so downstream code
-/// keeps compiling (with a warning pointing at [`Fuser`]) until it
-/// migrates.
-#[test]
-#[allow(deprecated)]
-fn deprecated_fusion_wrappers_remain_callable() {
-    use rim_channel::floorplan::Floorplan;
-    use rim_dsp::geom::Point2;
-    use rim_tracking::fusion::{fuse_with_gyro, fuse_with_gyro_weighted, fuse_with_map};
-    use rim_tracking::{FusedTrack, MapFusionConfig};
-
-    let _plain: fn(&MotionEstimate, &[f64], Point2, f64) -> Vec<Point2> = fuse_with_gyro;
-    let _weighted: fn(&MotionEstimate, &[f64], Point2, f64, f64) -> Vec<Point2> =
-        fuse_with_gyro_weighted;
-    let _mapped: fn(
-        &MotionEstimate,
-        &[f64],
-        &Floorplan,
-        Point2,
-        f64,
-        &MapFusionConfig,
-    ) -> FusedTrack = fuse_with_map;
-
-    // And they still run: an empty estimate dead-reckons to nothing.
-    let estimate = MotionEstimate {
-        sample_rate_hz: 100.0,
-        movement_indicator: Vec::new(),
-        moving: Vec::new(),
-        speed_mps: Vec::new(),
-        heading_device: Vec::new(),
-        angular_rate: Vec::new(),
-        segments: Vec::new(),
-    };
-    let fused = fuse_with_gyro(&estimate, &[], Point2::new(0.0, 0.0), 0.0);
-    assert!(fused.is_empty());
-}
+type BaseCrossFn = fn(
+    &[NormSnapshot],
+    &[NormSnapshot],
+    usize,
+    (usize, usize),
+    &rim_par::Pool,
+    Precision,
+) -> AlignmentMatrix;
+type FuseFn = fn(&Fuser, &MotionEstimate, &[f64]) -> Result<Vec<rim_dsp::geom::Point2>, Error>;
+type FuseWithMapFn = fn(
+    &Fuser,
+    &MotionEstimate,
+    &[f64],
+    &rim_channel::floorplan::Floorplan,
+    &rim_tracking::MapFusionConfig,
+) -> Result<rim_tracking::FusedTrack, Error>;
 
 /// `ingest` accepts all three input shapes through one entry point, on
 /// both the bare stream and the probed session builder.

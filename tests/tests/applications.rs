@@ -78,7 +78,8 @@ fn fusion_with_particle_filter_tracks_office_route() {
         .initial_position(wps[0])
         .build()
         .expect("default fusion knobs are valid")
-        .fuse_with_map(&est, &imu.gyro_z, &floorplan, &MapFusionConfig::default());
+        .fuse_with_map(&est, &imu.gyro_z, &floorplan, &MapFusionConfig::default())
+        .expect("the IMU samples at the estimate's rate");
     let truth: Vec<Point2> = traj.poses().iter().map(|p| p.pos).collect();
     let err = mean_projection_error(&fused.filtered, &truth);
     assert!(
