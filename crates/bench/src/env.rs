@@ -4,7 +4,7 @@
 use rim_array::{ArrayGeometry, HALF_WAVELENGTH};
 use rim_channel::trajectory::Trajectory;
 use rim_channel::ChannelSimulator;
-use rim_core::{MotionEstimate, Rim, RimConfig};
+use rim_core::RimConfig;
 use rim_csi::recorder::DenseCsi;
 use rim_csi::{CsiRecorder, DeviceConfig, HardwareProfile, LossModel, RecorderConfig};
 use rim_dsp::geom::Point2;
@@ -70,29 +70,6 @@ pub fn record(
     .record(traj)
     .interpolated()
     .expect("recording interpolable")
-}
-
-/// Records and analyzes in one step with default hardware.
-pub fn run_rim(
-    sim: &ChannelSimulator,
-    geometry: &ArrayGeometry,
-    traj: &Trajectory,
-    config: RimConfig,
-    seed: u64,
-) -> MotionEstimate {
-    let dense = record(sim, geometry, traj, seed, LossModel::None, None);
-    Rim::new(geometry.clone(), config)
-        .unwrap()
-        .analyze(&dense)
-        .unwrap()
-}
-
-/// Deterministic per-trace start points inside the office open area.
-pub fn office_start(k: usize) -> Point2 {
-    // Spread over the open band between the corridors.
-    let xs = [5.0, 9.0, 13.0, 21.0, 25.0, 29.0, 7.0, 23.0];
-    let ys = [9.5, 13.0, 17.5, 10.5, 16.5, 12.0, 15.0, 18.0];
-    Point2::new(xs[k % xs.len()], ys[(k / xs.len() + k) % ys.len()])
 }
 
 /// Deterministic open-lab start points.

@@ -1,17 +1,14 @@
 //! # rim-bench
 //!
 //! The experiment harness reproducing the RIM paper's evaluation: one
-//! module (and one binary) per figure of §6, shared workload builders, and
-//! text reporting of paper-vs-measured results. System cost (§6.2.9) is
-//! measured by the repository benchmark, `perfbench/`.
+//! module per figure of §6, shared workload builders, and text reporting
+//! of paper-vs-measured results. System cost (§6.2.9) is measured by the
+//! repository benchmark, `perfbench/`.
 //!
-//! Run a single figure:
+//! Run every figure (the EXPERIMENTS.md data), or name some:
 //! ```sh
-//! cargo run --release -p rim-bench --bin fig11_distance_accuracy
-//! ```
-//! or everything (writes the EXPERIMENTS.md data):
-//! ```sh
-//! cargo run --release -p rim-bench --bin all_figures
+//! cargo run --release -p rim-bench --bin figures
+//! cargo run --release -p rim-bench --bin figures -- fig11 fig12
 //! ```
 //! Set `RIM_FAST=1` to run reduced workloads.
 
@@ -19,13 +16,11 @@
 
 pub mod env;
 pub mod figs;
-pub mod fusion;
-pub mod kernel;
-pub mod latency;
-pub mod obs;
+#[cfg(test)]
+mod fusion;
 pub mod report;
-pub mod scenarios;
-pub mod serve;
+#[cfg(test)]
+mod scenarios;
 
 /// True when the `RIM_FAST` environment variable asks for reduced
 /// workloads.

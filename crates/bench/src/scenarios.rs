@@ -1,8 +1,7 @@
-//! The scenario-zoo benchmark behind `BENCH_scenarios.json`: the
-//! [`rim_channel::scenarios`] motion corpus crossed with a device
-//! heterogeneity matrix (bandwidth × antenna count × sample rate), with
-//! the full RIM batch pipeline *and* the RIM×IMU fusion engine run over
-//! every cell.
+//! The scenario-zoo gate: the [`rim_channel::scenarios`] motion corpus
+//! crossed with a device heterogeneity matrix (bandwidth × antenna count
+//! × sample rate), with the full RIM batch pipeline *and* the RIM×IMU
+//! fusion engine run over every cell.
 //!
 //! Axes:
 //!
@@ -15,11 +14,11 @@
 //!   (114) prototype at 200 Hz, and a 4-antenna VHT80 (242) front end
 //!   at 160 Hz.
 //!
-//! Per cell the bench reports accuracy (median and final tracking error
-//! against ground truth) and latency (batch analysis wall time), plus
-//! the fused-vs-RIM-only final errors from the streaming fusion run.
-//! The regression gates (checked by the embedded test and CI's
-//! `scenarios` lane): no cell panics, every non-shaking scenario the
+//! Per cell the matrix measures accuracy (median and final tracking
+//! error against ground truth) plus the fused-vs-RIM-only final errors
+//! from the streaming fusion run. The regression gates (the test below):
+//! the matrix covers ≥ 3 devices, the 56/114/242-subcarrier grids and
+//! ≥ 7 motions, no cell panics, every non-shaking scenario the
 //! device can physically resolve holds median error within 2× its
 //! device's line baseline (with an absolute floor covering the
 //! swinging-turn chord offset), and on the running gait the fused
@@ -29,17 +28,18 @@
 //! paper's Fig. 16 sampling-rate requirement, not a regression.
 
 use crate::env;
+use crate::fusion::RimDeadReckoner;
 use rim_array::ArrayGeometry;
 use rim_channel::scenarios as zoo;
 use rim_channel::trajectory::{line, OrientationMode, Trajectory};
 use rim_channel::{ChannelSimulator, SubcarrierLayout};
-use rim_core::{ImuSample, Rim, RimStream, StreamEvent};
+use rim_core::{ImuSample, Rim, RimStream};
 use rim_csi::{synced_from_recording, CsiRecorder, RecorderConfig};
-use rim_dsp::geom::{Point2, Vec2};
-use rim_dsp::stats::{median, wrap_angle};
+use rim_dsp::geom::Point2;
+use rim_dsp::stats::median;
+use rim_par::Pool;
 use rim_sensors::{ImuConfig, SimulatedImu};
 use rim_tracking::Fuser;
-use std::time::Instant;
 
 /// Straight-line reference distance, metres — the "open_lab line" walk
 /// the per-device baselines are measured on.
@@ -67,7 +67,7 @@ const MIN_LAG_SAMPLES: f64 = 2.0;
 /// One device shape of the heterogeneity matrix.
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceSpec {
-    /// Stable name used in `BENCH_scenarios.json`.
+    /// Stable name reported per cell.
     pub name: &'static str,
     /// Receive antennas in the linear array.
     pub n_antennas: usize,
@@ -147,16 +147,10 @@ pub struct Cell {
     pub scenario: &'static str,
     /// Device name.
     pub device: &'static str,
-    /// Trajectory duration, seconds.
-    pub duration_s: f64,
-    /// Ground-truth path length, metres.
-    pub distance_m: f64,
     /// Median per-sample tracking error of the batch RIM estimate, m.
     pub median_m: f64,
     /// Final-position tracking error of the batch RIM estimate, m.
     pub final_m: f64,
-    /// Batch analysis wall time, milliseconds.
-    pub analysis_ms: f64,
     /// Final-position error of the fused (RIM×IMU) stream, m.
     pub fused_final_m: f64,
     /// Final-position error of event-level RIM-only dead reckoning, m.
@@ -201,27 +195,8 @@ const LINE: zoo::ScenarioSpec = zoo::ScenarioSpec {
     default_seed: 20,
 };
 
-/// Event-level dead reckoning from a plain RIM stream (same
-/// construction as the fusion bench's RIM-only baseline).
-struct RimDeadReckoner {
-    position: Point2,
-    orientation: f64,
-}
-
-impl RimDeadReckoner {
-    fn absorb(&mut self, events: &[StreamEvent]) {
-        for event in events {
-            if let StreamEvent::Segment(seg) = event {
-                self.orientation = wrap_angle(self.orientation + seg.rotation_rad);
-                let dir = self.orientation + seg.heading_device.unwrap_or(0.0);
-                self.position += Vec2::new(dir.cos(), dir.sin()) * seg.distance_m;
-            }
-        }
-    }
-}
-
 /// Runs one scenario × device cell: batch RIM over the recorded CSI
-/// (accuracy + latency), then the streaming fusion engine over the same
+/// (accuracy), then the streaming fusion engine over the same
 /// trajectory's CSI + IMU.
 fn run_cell(scenario: &zoo::ScenarioSpec, device: &DeviceSpec, fast: bool, k: usize) -> Cell {
     let fs = device.fs(fast);
@@ -243,14 +218,12 @@ fn run_cell(scenario: &zoo::ScenarioSpec, device: &DeviceSpec, fast: bool, k: us
     )
     .record(&traj);
 
-    // Batch pipeline: analyze (timed), integrate, compare.
+    // Batch pipeline: analyze, integrate, compare.
     let dense = recording
         .interpolated()
         .expect("lossless recording interpolates");
     let rim = Rim::new(geo.clone(), env::rim_config(fs, 0.3)).expect("device geometry is valid");
-    let t0 = Instant::now();
     let est = rim.analyze(&dense).expect("zoo cell analyzes cleanly");
-    let analysis_ms = t0.elapsed().as_secs_f64() * 1e3;
     let track = est.trajectory(start, traj.pose(0).orientation);
     let n = track.len().min(traj.len());
     let errors: Vec<f64> = (0..n)
@@ -261,7 +234,7 @@ fn run_cell(scenario: &zoo::ScenarioSpec, device: &DeviceSpec, fast: bool, k: us
 
     // Streaming fusion over the same run: CSI through a RimStream
     // feeding the error-state filter, IMU sampled off the same ground
-    // truth. Consumer-grade tuning as in the fusion bench; the ZUPT
+    // truth. Consumer-grade tuning as in the fusion gate; the ZUPT
     // window/sustain stay at their (gait-arbitrated) defaults.
     let samples = synced_from_recording(&recording);
     let imu = SimulatedImu::new(ImuConfig::consumer(), scenario.default_seed ^ 0xA5).sample(&traj);
@@ -301,11 +274,8 @@ fn run_cell(scenario: &zoo::ScenarioSpec, device: &DeviceSpec, fast: bool, k: us
     Cell {
         scenario: scenario.name,
         device: device.name,
-        duration_s: traj.duration(),
-        distance_m: traj.total_distance(),
         median_m,
         final_m,
-        analysis_ms,
         fused_final_m: fused.position().distance(truth_end),
         rim_only_final_m: reckoner.position.distance(truth_end),
         peak_speed_mps,
@@ -314,19 +284,31 @@ fn run_cell(scenario: &zoo::ScenarioSpec, device: &DeviceSpec, fast: bool, k: us
 }
 
 /// Runs the full matrix: per device, the line baseline first, then
-/// every zoo motion gated against that baseline.
+/// every zoo motion gated against that baseline. Cells are independent,
+/// so they fan out over the pool (the baselines first, since the gates
+/// need them); results keep the serial order.
 pub fn run_matrix(fast: bool) -> Vec<Cell> {
+    let pool = Pool::default();
+    let devices = devices();
+    let baselines = pool.map(&devices, |device| run_cell(&LINE, device, fast, 0));
+    let jobs: Vec<(&DeviceSpec, usize)> = devices
+        .iter()
+        .flat_map(|device| (0..zoo::ZOO.len()).map(move |k| (device, k)))
+        .collect();
+    let mut zoo_cells = pool
+        .map(&jobs, |&(device, k)| {
+            run_cell(&zoo::ZOO[k], device, fast, k + 1)
+        })
+        .into_iter();
     let mut cells = Vec::new();
-    for device in &devices() {
-        let baseline = run_cell(&LINE, device, fast, 0);
+    for (device, baseline) in devices.iter().zip(baselines) {
         let gate = (GATE_FACTOR * baseline.median_m).max(GATE_FLOOR_M);
         eprintln!(
             "[scenarios] {}: baseline median {:.3} m (gate {:.3} m)",
             device.name, baseline.median_m, gate
         );
         cells.push(baseline);
-        for (k, scenario) in zoo::ZOO.iter().enumerate() {
-            let mut cell = run_cell(scenario, device, fast, k + 1);
+        for (scenario, mut cell) in zoo::ZOO.iter().zip(zoo_cells.by_ref()) {
             // Two exemptions, both physics rather than policy. Shaking
             // is in-place jitter: median error against a stationary
             // truth measures the simulator's noise floor, not tracking
@@ -351,14 +333,13 @@ pub fn run_matrix(fast: bool) -> Vec<Cell> {
             };
             eprintln!(
                 "[scenarios] {} x {}: median {:.3} m, final {:.3} m, \
-                 fused {:.3} m, rim-only {:.3} m, analyze {:.1} ms{}",
+                 fused {:.3} m, rim-only {:.3} m{}",
                 cell.scenario,
                 cell.device,
                 cell.median_m,
                 cell.final_m,
                 cell.fused_final_m,
                 cell.rim_only_final_m,
-                cell.analysis_ms,
                 note,
             );
             cells.push(cell);
@@ -367,93 +348,10 @@ pub fn run_matrix(fast: bool) -> Vec<Cell> {
     cells
 }
 
-/// Runs the matrix and writes `BENCH_scenarios.json` (schema
-/// `rim-scenarios-bench/1`). `fast` caps every device's sample rate at
-/// 100 Hz; the trajectories are identical in both modes.
-pub fn write_scenarios_bench(fast: bool) {
-    let cells = run_matrix(fast);
-    let over: Vec<&Cell> = cells.iter().filter(|c| !c.within_gate()).collect();
-    eprintln!(
-        "[scenarios] {} cells ({} devices x {} motions + baselines), {} over gate",
-        cells.len(),
-        devices().len(),
-        zoo::ZOO.len(),
-        over.len(),
-    );
-
-    let device_rows = devices()
-        .iter()
-        .map(|d| {
-            format!(
-                "    {{\"name\": \"{}\", \"antennas\": {}, \"bandwidth_mhz\": {}, \
-                 \"subcarriers\": {}, \"sample_rate_hz\": {:.0}, \
-                 \"max_trackable_mps\": {:.3}}}",
-                d.name,
-                d.n_antennas,
-                d.bandwidth_mhz,
-                d.n_subcarriers(),
-                d.fs(fast),
-                d.max_trackable_mps(fast),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let cell_rows = cells
-        .iter()
-        .map(|c| {
-            let gate = match c.gate_m {
-                Some(g) => format!("{g:.3}"),
-                None => String::from("null"),
-            };
-            format!(
-                "    {{\"scenario\": \"{}\", \"device\": \"{}\", \
-                 \"duration_s\": {:.1}, \"distance_m\": {:.2}, \
-                 \"median_error_m\": {:.3}, \"final_error_m\": {:.3}, \
-                 \"analysis_ms\": {:.2}, \"fused_final_m\": {:.3}, \
-                 \"rim_only_final_m\": {:.3}, \"peak_speed_mps\": {:.3}, \
-                 \"gate_m\": {}, \"within_gate\": {}}}",
-                c.scenario,
-                c.device,
-                c.duration_s,
-                c.distance_m,
-                c.median_m,
-                c.final_m,
-                c.analysis_ms,
-                c.fused_final_m,
-                c.rim_only_final_m,
-                c.peak_speed_mps,
-                gate,
-                c.within_gate(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"scenario_zoo\",\n",
-            "  \"schema\": \"rim-scenarios-bench/1\",\n",
-            "  \"fast\": {fast},\n",
-            "  \"gate\": {{\"factor\": {factor}, \"floor_m\": {floor}, \
-             \"min_lag_samples\": {min_lag}}},\n",
-            "  \"devices\": [\n{devices}\n  ],\n",
-            "  \"cells\": [\n{cells}\n  ]\n}}\n"
-        ),
-        fast = fast,
-        factor = GATE_FACTOR,
-        floor = GATE_FLOOR_M,
-        min_lag = MIN_LAG_SAMPLES,
-        devices = device_rows,
-        cells = cell_rows,
-    );
-    match std::fs::write("BENCH_scenarios.json", json) {
-        Ok(()) => eprintln!("[scenarios] wrote BENCH_scenarios.json"),
-        Err(e) => eprintln!("[scenarios] could not write BENCH_scenarios.json: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn zoo_matrix_holds_the_accuracy_gates() {
@@ -464,6 +362,23 @@ mod tests {
             n_devices * (zoo::ZOO.len() + 1),
             "every scenario x device cell ran"
         );
+        // Coverage: the matrix spans the device and motion axes it claims.
+        let ran: Vec<DeviceSpec> = devices()
+            .into_iter()
+            .filter(|d| cells.iter().any(|c| c.device == d.name))
+            .collect();
+        assert!(ran.len() >= 3, "device shapes: {}", ran.len());
+        let grids: BTreeSet<usize> = ran.iter().map(DeviceSpec::n_subcarriers).collect();
+        assert!(
+            [56, 114, 242].iter().all(|n| grids.contains(n)),
+            "subcarrier grids: {grids:?}"
+        );
+        let motions: BTreeSet<&str> = cells
+            .iter()
+            .map(|c| c.scenario)
+            .filter(|&s| s != "line")
+            .collect();
+        assert!(motions.len() >= 7, "motions covered: {motions:?}");
         for c in &cells {
             assert!(
                 c.median_m.is_finite() && c.final_m.is_finite(),

@@ -8,8 +8,8 @@
 //! swinging turn — each a named spec with a default seed, buildable at
 //! any sample rate. The device axis (bandwidth, antenna count, sample
 //! rate) is orthogonal and lives with the consumers: the CLI's
-//! `--array`/`--bandwidth`/`--rate` options and
-//! `rim_bench::scenarios`'s device table.
+//! `--array`/`--bandwidth`/`--rate` options, `perfbench`'s device
+//! shapes, and the device table of rim-bench's scenario-zoo gate test.
 //!
 //! Determinism contract: `build(name, start, fs, seed)` is a pure
 //! function of its arguments. Only `shaking` consumes the seed (its
@@ -26,7 +26,7 @@ use rim_dsp::geom::Point2;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScenarioSpec {
     /// Stable name, accepted by `rim simulate --scenario NAME` and used
-    /// as the key in `BENCH_scenarios.json`.
+    /// as the cell key of the scenario-zoo gate.
     pub name: &'static str,
     /// One-line description for usage text and reports.
     pub summary: &'static str,

@@ -159,17 +159,6 @@ impl ChannelSimulator {
         self
     }
 
-    /// Replaces the AP configuration (e.g. a different TX antenna
-    /// count), keeping the environment and layout.
-    ///
-    /// # Panics
-    /// Panics if the AP has no antennas.
-    pub fn with_ap(mut self, ap: ApConfig) -> Self {
-        assert!(ap.n_antennas > 0, "AP needs at least one antenna");
-        self.ap = ap;
-        self
-    }
-
     /// The subcarrier layout in use.
     pub fn layout(&self) -> &SubcarrierLayout {
         &self.layout

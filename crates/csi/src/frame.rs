@@ -115,7 +115,9 @@ impl CsiFrame {
         if n_rx > MAX_DIM {
             return Err(DecodeError::BadDimension);
         }
-        let mut rx = Vec::with_capacity(n_rx as usize);
+        // Every snapshot and every CFR needs at least its 4-byte count, so
+        // the bytes left bound how many a hostile header can presize.
+        let mut rx = Vec::with_capacity((n_rx as usize).min(buf.remaining() / 4));
         for _ in 0..n_rx {
             if buf.remaining() < 4 {
                 return Err(DecodeError::Truncated);
@@ -124,7 +126,7 @@ impl CsiFrame {
             if n_tx > MAX_DIM {
                 return Err(DecodeError::BadDimension);
             }
-            let mut per_tx = Vec::with_capacity(n_tx as usize);
+            let mut per_tx = Vec::with_capacity((n_tx as usize).min(buf.remaining() / 4));
             for _ in 0..n_tx {
                 if buf.remaining() < 4 {
                     return Err(DecodeError::Truncated);

@@ -1,10 +1,91 @@
 //! Property-based tests of the CSI layer.
+//!
+//! The frame decoder is fuzzed with hostile input: arbitrary bytes, every
+//! truncation of a valid frame, and hostile dimension counts must all
+//! come back as a typed [`DecodeError`] — never a panic, and never an
+//! allocation sized from a count the bytes cannot back. Allocation sizes
+//! are observed with a counting global allocator that records, per
+//! thread, the largest single request while a decode runs.
 
 use proptest::prelude::*;
 use rim_channel::SubcarrierLayout;
-use rim_csi::frame::{CsiFrame, CsiSnapshot};
+use rim_csi::frame::{CsiFrame, CsiSnapshot, DecodeError};
 use rim_csi::sanitize::{sanitize_matched_delay, unwrap_phase};
 use rim_dsp::complex::{Complex64, ZERO};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct LargestAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: allocations during thread teardown are not measured.
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+}
+
+// SAFETY: every call forwards to the system allocator with the caller's
+// layout unchanged; the thread-local maximum publishes no data.
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestAlloc = LargestAlloc;
+
+/// Decodes `bytes`, asserting that no single allocation exceeds what the
+/// input can back: a snapshot or CFR list costs 24 B per entry and each
+/// entry needs at least a 4-byte count, so 8× the input plus a small
+/// fixed slack bounds every honest presize.
+fn decode_bounded(bytes: &[u8]) -> Result<CsiFrame, DecodeError> {
+    const SLACK: usize = 256;
+    LARGEST.with(|m| m.set(0));
+    let out = CsiFrame::decode(bytes);
+    let largest = LARGEST.with(Cell::get);
+    let bound = 8 * bytes.len() + SLACK;
+    assert!(
+        largest <= bound,
+        "allocated {largest} B in one request for {} B of input (bound {bound} B)",
+        bytes.len()
+    );
+    out
+}
+
+/// The 4-byte frame magic, followed by `tail`.
+fn behind_magic(tail: &[u8]) -> Vec<u8> {
+    let mut bytes = CsiFrame {
+        seq: 0,
+        timestamp_s: 0.0,
+        rx: vec![],
+    }
+    .encode()[..4]
+        .to_vec();
+    bytes.extend_from_slice(tail);
+    bytes
+}
 
 /// Scalar reference for `sanitize_matched_delay`: every β of the coarse
 /// search is evaluated directly, one `cis` per subcarrier, with no
@@ -141,9 +222,44 @@ proptest! {
         prop_assert_eq!(frame, decoded);
     }
 
+    /// Garbage decodes to a frame or a typed error, never presized from
+    /// its counts; behind a valid magic it reaches the count fields.
     #[test]
     fn decode_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = CsiFrame::decode(&bytes); // must return, never panic/OOM
+        let _ = decode_bounded(&bytes);
+        let _ = decode_bounded(&behind_magic(&bytes));
+    }
+
+    #[test]
+    fn every_truncation_of_a_valid_frame_is_a_truncated_error(
+        seq in any::<u64>(),
+        rx in prop::collection::vec(snapshot_strategy(), 1..4),
+    ) {
+        let frame = CsiFrame { seq, timestamp_s: 0.5, rx };
+        let bytes = frame.encode();
+        prop_assert_eq!(decode_bounded(&bytes), Ok(frame));
+        for cut in 0..bytes.len() {
+            prop_assert_eq!(decode_bounded(&bytes[..cut]), Err(DecodeError::Truncated), "cut {}", cut);
+        }
+    }
+
+    /// A count at the `n_rx`, first `n_tx` or first `n_sc` field (byte
+    /// offsets 20, 24, 28) that the bytes cannot back is a typed error.
+    #[test]
+    fn hostile_counts_are_rejected_without_presizing(
+        rx in prop::collection::vec(snapshot_strategy(), 1..4),
+        count in prop::sample::select(vec![4096u32, 4097, 65_536, u32::MAX]),
+    ) {
+        let bytes = CsiFrame { seq: 1, timestamp_s: 0.0, rx }.encode().to_vec();
+        for at in [20, 24, 28] {
+            let mut hostile = bytes.clone();
+            hostile[at..at + 4].copy_from_slice(&count.to_be_bytes());
+            let err = decode_bounded(&hostile).err();
+            prop_assert!(
+                matches!(err, Some(DecodeError::Truncated | DecodeError::BadDimension)),
+                "count {count} at {at}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -329,4 +445,15 @@ proptest! {
         let trrs = ip * ip / (rim_dsp::norm_sqr(&clean) * rim_dsp::norm_sqr(&ramped));
         prop_assert!(trrs > 0.999, "ramp removed: {trrs}");
     }
+}
+
+/// A 28-byte frame claiming 4096 RX snapshots of 4096 TX chains each: a
+/// truncation, decoded without presizing either list.
+#[test]
+fn maximal_counts_in_a_tiny_frame_are_a_truncation() {
+    let mut bytes = behind_magic(&[0; 16]);
+    bytes.extend_from_slice(&4096u32.to_be_bytes());
+    bytes.extend_from_slice(&4096u32.to_be_bytes());
+    assert_eq!(bytes.len(), 28);
+    assert_eq!(decode_bounded(&bytes), Err(DecodeError::Truncated));
 }

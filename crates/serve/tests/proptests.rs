@@ -63,9 +63,7 @@ static ALLOCATOR: LargestAlloc = LargestAlloc;
 
 /// Runs `f` and asserts that no single allocation it made exceeds a
 /// small multiple of the `input_len` bytes it was given, plus a fixed
-/// slack. The slack covers the buffered reader's first 64 KiB chunk and
-/// the CSI payload decoder, which presizes at most 4096 entries per
-/// dimension.
+/// slack. The slack covers the buffered reader's first 64 KiB chunk.
 fn bounded_alloc<R>(input_len: usize, f: impl FnOnce() -> R) -> R {
     const SLACK: usize = 128 * 1024;
     LARGEST.with(|m| m.set(0));

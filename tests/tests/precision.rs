@@ -1,13 +1,17 @@
 //! Property tests of the precision modes: tier bit-equality for the f64
 //! reference path, the f32 fast path's error budget, and the invariance
 //! of event ordering and confidence plumbing under `RimConfig::precision`.
+//!
+//! The f32 throughput gate is a wall-clock test, so it is `#[ignore]`d;
+//! run it in release, alone:
+//! `cargo test --release -p rim-integration-tests --test precision -- --ignored --test-threads=1`.
 
 use proptest::prelude::*;
 use rim_array::ArrayGeometry;
-use rim_channel::trajectory::{line, stop_and_go, OrientationMode};
+use rim_channel::trajectory::{line, stop_and_go, OrientationMode, Trajectory};
 use rim_channel::ChannelSimulator;
-use rim_core::alignment::base_cross_trrs_range_prec;
-use rim_core::{trrs_norm, NormSnapshot, Precision, RimStream, StreamEvent};
+use rim_core::alignment::{base_cross_trrs_range_prec, AlignmentConfig};
+use rim_core::{trrs_norm, NormSnapshot, Precision, RimConfig, RimStream, StreamEvent};
 use rim_csi::frame::CsiSnapshot;
 use rim_csi::{CsiRecorder, DeviceConfig, RecorderConfig};
 use rim_dsp::complex::Complex64;
@@ -15,8 +19,9 @@ use rim_dsp::geom::Point2;
 use rim_dsp::stats::angle_diff;
 use rim_integration_tests::{config, run_pipeline, FS, SPACING};
 use rim_par::Pool;
-use rim_simd::{force_tier, Tier};
+use rim_simd::{active_tier, force_tier, Tier};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Serialises the tests that pin the process-wide SIMD dispatch tier.
 static TIER_LOCK: Mutex<()> = Mutex::new(());
@@ -80,13 +85,52 @@ fn aos_reference(a: &[NormSnapshot], b: &[NormSnapshot], window: usize) -> Vec<V
         .collect()
 }
 
+/// The SIMD f64 path is bit-identical to the scalar tier — and to the
+/// pre-SoA AoS reference — at 1 and 4 threads. The f32 path must likewise
+/// be tier- and thread-invariant (its reference is the scalar f32 lane).
+fn assert_tier_and_thread_invariant(a: &[NormSnapshot], b: &[NormSnapshot], window: usize) {
+    let _serial = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = TierGuard;
+    let t_len = a.len();
+    let matrix = |tier, pool: &Pool, precision| {
+        force_tier(Some(tier));
+        base_cross_trrs_range_prec(a, b, window, (0, t_len), pool, precision).values
+    };
+    let assert_same = |x: &[Vec<f64>], y: &[Vec<f64>], what: &str| {
+        for (t, (rx, ry)) in x.iter().zip(y).enumerate() {
+            for (k, (u, v)) in rx.iter().zip(ry).enumerate() {
+                assert_eq!(u.to_bits(), v.to_bits(), "{what} mismatch at t={t} k={k}");
+            }
+        }
+    };
+    let reference = aos_reference(a, b, window);
+    let mut f32_baseline: Option<Vec<Vec<f64>>> = None;
+    for threads in [1usize, 4] {
+        let pool = Pool::new(threads, 0);
+        let scalar = matrix(Tier::Scalar, &pool, Precision::F64Reference);
+        let simd = matrix(Tier::Avx2, &pool, Precision::F64Reference);
+        assert_same(&scalar, &simd, &format!("f64 tier (threads={threads})"));
+        assert_same(
+            &reference,
+            &scalar,
+            &format!("f64 AoS/SoA (threads={threads})"),
+        );
+        let scalar32 = matrix(Tier::Scalar, &pool, Precision::F32Fast);
+        let simd32 = matrix(Tier::Avx2, &pool, Precision::F32Fast);
+        assert_same(&scalar32, &simd32, &format!("f32 tier (threads={threads})"));
+        // Thread count must not change f32 results either.
+        match &f32_baseline {
+            None => f32_baseline = Some(simd32),
+            Some(base) => assert_same(base, &simd32, "f32 thread"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Satellite (a): the SIMD f64 path is bit-identical to the scalar
-    /// tier — and to the pre-SoA AoS reference — at 1 and 4 threads, on
-    /// every generated series shape. The f32 path must likewise be
-    /// tier- and thread-invariant (its reference is the scalar f32 lane).
+    /// Satellite (a): tier and thread invariance on every generated
+    /// series shape.
     #[test]
     fn f64_reference_is_bit_identical_across_tiers_and_threads(
         seed in any::<u64>(),
@@ -95,55 +139,72 @@ proptest! {
         n_tx in 1usize..3,
         n_sub in 4usize..48,
     ) {
-        let _serial = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = TierGuard;
         let a = series(seed, t_len, n_tx, n_sub);
         let b = series(seed ^ 0xA5A5_5A5A, t_len, n_tx, n_sub);
-        let reference = aos_reference(&a, &b, window);
-        let mut f32_baseline: Option<Vec<Vec<f64>>> = None;
-        for threads in [1usize, 4] {
-            let pool = Pool::new(threads, 0);
-            force_tier(Some(Tier::Scalar));
-            let scalar = base_cross_trrs_range_prec(
-                &a, &b, window, (0, t_len), &pool, Precision::F64Reference);
-            force_tier(Some(Tier::Avx2));
-            let simd = base_cross_trrs_range_prec(
-                &a, &b, window, (0, t_len), &pool, Precision::F64Reference);
-            for (t, (rs, rv)) in scalar.values.iter().zip(&simd.values).enumerate() {
-                for (k, (x, y)) in rs.iter().zip(rv).enumerate() {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(),
-                        "f64 tier mismatch at t={} k={} threads={}", t, k, threads);
-                }
+        assert_tier_and_thread_invariant(&a, &b, window);
+    }
+}
+
+/// The production kernel shape the proptest above cannot reach: the
+/// default lag window at the paper's 200 Hz (W = 100) over a 240-sample
+/// series of 56 subcarriers.
+#[test]
+fn f64_reference_is_bit_identical_at_the_production_window() {
+    let window = AlignmentConfig::for_sample_rate(200.0).window;
+    assert_tier_and_thread_invariant(&series(1, 240, 1, 56), &series(7, 240, 1, 56), window);
+}
+
+/// The f32 fast path lands within the documented error budget of the f64
+/// reference on `traj`: the same segments, each segment's distance and
+/// the total within 1 mm, and heading within 0.1°.
+fn assert_f32_inside_budget(
+    sim: &ChannelSimulator,
+    traj: &Trajectory,
+    config: RimConfig,
+    seed: u64,
+) {
+    let geo = ArrayGeometry::linear(3, SPACING);
+    let est64 = run_pipeline(
+        sim,
+        &geo,
+        traj,
+        config.clone().precision(Precision::F64Reference),
+        seed,
+    );
+    let est32 = run_pipeline(sim, &geo, traj, config.precision(Precision::F32Fast), seed);
+    assert_eq!(
+        est64.segments.len(),
+        est32.segments.len(),
+        "precision changed the segment count"
+    );
+    let total_mm = (est64.total_distance() - est32.total_distance()).abs() * 1e3;
+    assert!(
+        total_mm <= 1.0,
+        "total distance delta {total_mm:.3} mm exceeds the 1 mm budget"
+    );
+    for (s64, s32) in est64.segments.iter().zip(&est32.segments) {
+        assert_eq!(
+            (s64.start, s64.end, s64.kind),
+            (s32.start, s32.end, s32.kind)
+        );
+        let d_mm = (s64.distance_m - s32.distance_m).abs() * 1e3;
+        assert!(
+            d_mm <= 1.0,
+            "distance delta {d_mm:.3} mm exceeds the 1 mm budget"
+        );
+        match (s64.heading_device, s32.heading_device) {
+            (Some(h64), Some(h32)) => {
+                let dh_deg = angle_diff(h64, h32).abs().to_degrees();
+                assert!(
+                    dh_deg <= 0.1,
+                    "heading delta {dh_deg:.4}° exceeds the 0.1° budget"
+                );
             }
-            for (t, (rr, rs)) in reference.iter().zip(&scalar.values).enumerate() {
-                for (k, (x, y)) in rr.iter().zip(rs).enumerate() {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(),
-                        "f64 AoS/SoA mismatch at t={} k={} threads={}", t, k, threads);
-                }
-            }
-            force_tier(Some(Tier::Scalar));
-            let scalar32 = base_cross_trrs_range_prec(
-                &a, &b, window, (0, t_len), &pool, Precision::F32Fast);
-            force_tier(Some(Tier::Avx2));
-            let simd32 = base_cross_trrs_range_prec(
-                &a, &b, window, (0, t_len), &pool, Precision::F32Fast);
-            for (t, (rs, rv)) in scalar32.values.iter().zip(&simd32.values).enumerate() {
-                for (k, (x, y)) in rs.iter().zip(rv).enumerate() {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(),
-                        "f32 tier mismatch at t={} k={} threads={}", t, k, threads);
-                }
-            }
-            // Thread count must not change f32 results either.
-            match &f32_baseline {
-                None => f32_baseline = Some(simd32.values.clone()),
-                Some(base) => {
-                    for (rs, rv) in base.iter().zip(&simd32.values) {
-                        for (x, y) in rs.iter().zip(rv) {
-                            prop_assert_eq!(x.to_bits(), y.to_bits());
-                        }
-                    }
-                }
-            }
+            (h64, h32) => assert_eq!(
+                h64.is_some(),
+                h32.is_some(),
+                "precision changed heading availability"
+            ),
         }
     }
 }
@@ -151,9 +212,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Satellite (b): on every generated walk the f32 fast path lands
-    /// within the documented error budget of the f64 reference — segment
-    /// distance within 1 mm, heading within 0.1°.
+    /// Satellite (b): the f32 error budget on every generated walk.
     #[test]
     fn f32_fast_stays_inside_its_error_budget(
         seed in 1u64..40,
@@ -161,8 +220,6 @@ proptest! {
         speed_cmps in 60u32..120,
         start_x in -2.0f64..0.0,
     ) {
-        let sim = ChannelSimulator::open_lab(seed);
-        let geo = ArrayGeometry::linear(3, SPACING);
         let traj = line(
             Point2::new(start_x, 2.0),
             0.0,
@@ -171,26 +228,61 @@ proptest! {
             FS,
             OrientationMode::Fixed(0.0),
         );
-        let est64 = run_pipeline(&sim, &geo, &traj,
-            config(0.3).precision(Precision::F64Reference), seed);
-        let est32 = run_pipeline(&sim, &geo, &traj,
-            config(0.3).precision(Precision::F32Fast), seed);
-        prop_assert_eq!(est64.segments.len(), est32.segments.len(),
-            "precision changed the segment count");
-        for (s64, s32) in est64.segments.iter().zip(&est32.segments) {
-            prop_assert_eq!(s64.start, s32.start);
-            prop_assert_eq!(s64.end, s32.end);
-            prop_assert_eq!(s64.kind, s32.kind);
-            let d_mm = (s64.distance_m - s32.distance_m).abs() * 1e3;
-            prop_assert!(d_mm <= 1.0, "distance delta {d_mm:.3} mm exceeds the 1 mm budget");
-            if let (Some(h64), Some(h32)) = (s64.heading_device, s32.heading_device) {
-                let dh_deg = angle_diff(h64, h32).abs().to_degrees();
-                prop_assert!(dh_deg <= 0.1, "heading delta {dh_deg:.4}° exceeds the 0.1° budget");
-            } else {
-                prop_assert_eq!(s64.heading_device.is_some(), s32.heading_device.is_some(),
-                    "precision changed heading availability");
-            }
-        }
+        assert_f32_inside_budget(&ChannelSimulator::open_lab(seed), &traj, config(0.3), seed);
+    }
+}
+
+/// The f32 error budget on one fixed 200 Hz lab walk (3 m at 1 m/s).
+#[test]
+fn f32_fast_stays_inside_its_error_budget_on_a_200_hz_walk() {
+    let fs = 200.0;
+    let walk = line(
+        Point2::new(-2.0, 2.0),
+        0.0,
+        3.0,
+        1.0,
+        fs,
+        OrientationMode::Fixed(0.0),
+    );
+    let cfg = RimConfig::for_sample_rate(fs).with_min_speed(0.3, SPACING, fs);
+    assert_f32_inside_budget(&ChannelSimulator::open_lab(11), &walk, cfg, 11);
+}
+
+/// Best-of-`reps` wall time of `f`, in seconds.
+fn best_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// On AVX2 the f32 fast path computes the production-shape matrix at
+/// least 5× faster than the per-entry scalar f64 reference (best of 3
+/// runs each, serial pool). Other tiers are not held to the target.
+#[test]
+#[ignore = "wall-clock gate: run in release with --ignored --test-threads=1"]
+fn f32_fast_path_is_at_least_5x_the_scalar_reference_on_avx2() {
+    let _serial = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let tier = active_tier();
+    let (t_len, n_sub, reps) = (240, 56, 3);
+    let window = AlignmentConfig::for_sample_rate(200.0).window;
+    let a = series(1, t_len, 1, n_sub);
+    let b = series(7, t_len, 1, n_sub);
+    let pool = Pool::serial();
+    let scalar_s = best_secs(reps, || aos_reference(&a, &b, window));
+    let f32_s = best_secs(reps, || {
+        base_cross_trrs_range_prec(&a, &b, window, (0, t_len), &pool, Precision::F32Fast)
+    });
+    let speedup = scalar_s / f32_s;
+    eprintln!("tier {tier:?}: simd-f32 {speedup:.2}x the scalar f64 reference");
+    if tier == Tier::Avx2 {
+        assert!(
+            speedup >= 5.0,
+            "simd-f32 speedup {speedup:.2}x below the 5x target"
+        );
     }
 }
 

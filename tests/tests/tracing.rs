@@ -8,17 +8,23 @@
 //! * **Telemetry round-trip** — a `Metrics` request on a live loopback
 //!   server returns a well-formed snapshot whose recent traces carry
 //!   `queue_wait` spans.
+//! * **Overhead** — tracing every sample costs at most 5 % of the
+//!   per-sample ingest p50. A wall-clock gate, so it is `#[ignore]`d; run
+//!   it in release, alone:
+//!   `cargo test --release -p rim-integration-tests --test tracing -- --ignored --test-threads=1`.
 
 use rim_array::ArrayGeometry;
 use rim_channel::trajectory::{dwell, line, OrientationMode};
 use rim_channel::ChannelSimulator;
 use rim_core::stream::{RimStream, StreamEvent};
+use rim_core::RimConfig;
 use rim_csi::{synced_from_recording, CsiRecorder, CsiRecording, DeviceConfig, RecorderConfig};
 use rim_dsp::geom::Point2;
 use rim_integration_tests::{config, FS, SPACING};
 use rim_obs::{ActiveTrace, SpanKind, TraceId};
 use rim_serve::{Admit, Client, ServeConfig, Server, SessionManager};
 use std::sync::Arc;
+use std::time::Instant;
 
 fn geometry() -> ArrayGeometry {
     ArrayGeometry::linear(3, SPACING)
@@ -28,6 +34,11 @@ fn geometry() -> ArrayGeometry {
 /// the flush hook fires during a traced ingest rather than only at
 /// finish.
 fn recording() -> CsiRecording {
+    recording_at(FS)
+}
+
+/// [`recording`] sampled at `fs`.
+fn recording_at(fs: f64) -> CsiRecording {
     let sim = ChannelSimulator::open_lab(7);
     let geometry = geometry();
     let mut traj = line(
@@ -35,11 +46,11 @@ fn recording() -> CsiRecording {
         0.0,
         2.0,
         1.0,
-        FS,
+        fs,
         OrientationMode::FollowPath,
     );
     let end = traj.pose(traj.len() - 1);
-    traj.extend(&dwell(end.pos, end.orientation, 0.75, FS));
+    traj.extend(&dwell(end.pos, end.orientation, 0.75, fs));
     CsiRecorder::new(
         &sim,
         DeviceConfig::single_nic(geometry.offsets().to_vec()),
@@ -193,4 +204,48 @@ fn metrics_snapshot_round_trips_over_loopback_with_queue_wait_spans() {
     let mut closer = Client::connect(addr).expect("connect");
     closer.shutdown().expect("shutdown handshake");
     server.shutdown();
+}
+
+/// Tracing every sample adds at most 5 % to the per-sample ingest p50
+/// of a 200 Hz walk (best of 2 runs each way, same capture).
+#[test]
+#[ignore = "wall-clock gate: run in release with --ignored --test-threads=1"]
+fn tracing_every_sample_costs_at_most_5_percent_of_ingest_p50() {
+    let fs = 200.0;
+    let dense = recording_at(fs).interpolated().expect("interpolable");
+    let cfg = RimConfig::for_sample_rate(fs).with_min_speed(0.3, SPACING, fs);
+    let p50_us = |traced: bool| -> f64 {
+        let mut stream = RimStream::new(geometry(), cfg.clone()).expect("valid config");
+        let mut lat_us = Vec::with_capacity(dense.n_samples());
+        for i in 0..dense.n_samples() {
+            let snaps: Vec<_> = dense.antennas.iter().map(|a| a[i].clone()).collect();
+            let t0 = Instant::now();
+            if traced {
+                let mut trace = ActiveTrace::new(TraceId(i as u64), 0, i as u64);
+                stream
+                    .session()
+                    .trace(&mut trace)
+                    .ingest(snaps)
+                    .expect("ingest");
+                let _ = trace.finish();
+            } else {
+                stream.session().ingest(snaps).expect("ingest");
+            }
+            lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
+        }
+        stream.finish();
+        lat_us.sort_by(f64::total_cmp);
+        lat_us[(lat_us.len() - 1) / 2]
+    };
+    let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..2 {
+        off = off.min(p50_us(false));
+        on = on.min(p50_us(true));
+    }
+    let overhead_pct = (on - off) / off * 100.0;
+    eprintln!("ingest p50 {off:.1} µs untraced, {on:.1} µs traced ({overhead_pct:+.2} %)");
+    assert!(
+        overhead_pct <= 5.0,
+        "tracing overhead {overhead_pct:+.2} % exceeds the 5 % budget"
+    );
 }
