@@ -7,10 +7,15 @@
 //!   (`B[t][l]`, Eqn. 5's raw material) online: every ingested sample
 //!   appends one column per tracked antenna pair and backfills the
 //!   `l < 0` entries of the previous `W` columns whose source sample has
-//!   now arrived. Each entry is produced by the *same* `trrs_norm` call
-//!   the batch path would make, so a matrix materialised from the cache
-//!   at segment flush is bit-identical to recomputing it — the flush
-//!   just stops paying the `O(T·W·S·N)` spike.
+//!   now arrived. Each entry has the bits of the batch path's entry
+//!   (the same row kernel, or its scalar reference on ragged input), so
+//!   a matrix materialised from the cache at segment flush is
+//!   bit-identical to recomputing it — the flush just stops paying the
+//!   `O(T·W·S·N)` spike. Both the new column and the backfill read only
+//!   the newest `W + 1` samples, so the kernels' SoA operands live in a
+//!   fixed per-antenna `SoaWindow` of that many lanes rather than a
+//!   mirror of the whole ring: per-sample work and memory are O(W),
+//!   however long the ring grows while a segment is open.
 //! * [`ProvisionalTracker`] — while a movement segment is open, folds the
 //!   cached columns into per-group virtual-massive averages via rolling
 //!   box-filter sums, advances the DP peak-tracking forward pass one
@@ -24,7 +29,7 @@
 use crate::alignment::AlignmentMatrix;
 use crate::pipeline::{Confidence, Precision, RimConfig};
 use crate::reckoning::{heading_from_frac_lag, speed_from_frac_lag};
-use crate::soa::{PairKernel, SoaScalar, SoaSeries};
+use crate::soa::{SoaScalar, SoaWindow};
 use crate::tracking_dp::{dp_advance_column, dp_jump_cost};
 use crate::trrs::{trrs_norm, trrs_norm_f32, NormSnapshot};
 use rim_array::ArrayGeometry;
@@ -52,21 +57,26 @@ pub struct ColumnCache {
     /// Ordered `(i, j)` antenna pairs, batch call order.
     pairs: Vec<(usize, usize)>,
     cols: Vec<VecDeque<Vec<f64>>>,
-    /// SoA mirror of the stream's snapshot ring, one series per antenna,
-    /// in the precision the kernels run at. Lazily sized on the first
+    /// Columns dropped by [`Self::trim_to`], reused by the next
+    /// [`Self::on_sample`] (at most one per pair is kept).
+    spare: Vec<Vec<f64>>,
+    /// Kernel output lanes (`W + 1` long once the mirror is built).
+    lanes: Vec<f64>,
+    /// One [`SoaWindow`] of the newest `W + 1` samples per antenna, in the
+    /// precision the kernels run at. Lazily built on the first
     /// `on_sample` (the ring's antenna count is unknown until then).
     mirror: Mirror,
 }
 
-/// The precision-specific SoA ring mirror. Precision selects the scalar
+/// The precision-specific window mirror. Precision selects the scalar
 /// type once at construction; every column and backfill entry is then
-/// produced by the matching [`PairKernel`] (or its scalar reference on
+/// produced by the matching row kernel (or its scalar reference on
 /// ragged input), so cached values stay bit-identical to the batch path
 /// of the same precision.
 #[derive(Debug, Clone)]
 enum Mirror {
-    F64(Vec<SoaSeries<f64>>),
-    F32(Vec<SoaSeries<f32>>),
+    F64(Vec<SoaWindow<f64>>),
+    F32(Vec<SoaWindow<f32>>),
 }
 
 /// Split-borrow bundle for the generic ingest body (the mirror and the
@@ -76,17 +86,19 @@ struct SampleCtx<'a> {
     base: usize,
     ring: &'a [VecDeque<NormSnapshot>],
     newest: usize,
+    pairs: &'a [(usize, usize)],
+    cols: &'a mut [VecDeque<Vec<f64>>],
+    spare: &'a mut Vec<Vec<f64>>,
+    lanes: &'a mut Vec<f64>,
 }
 
-/// Appends the newest ring sample to the mirror and computes the new
-/// column plus backfills for every pair, through the SoA kernel when the
-/// series are regular and through `scalar_norm` otherwise. Returns the
-/// number of TRRS entries computed.
+/// Stores the newest ring sample in the window mirror and computes the
+/// new column plus backfills for every pair, through the SoA kernel when
+/// the windows are regular and through `scalar_norm` otherwise. Returns
+/// the number of TRRS entries computed.
 fn sample_into<T: SoaScalar>(
     ctx: SampleCtx<'_>,
-    pairs: &[(usize, usize)],
-    cols: &mut [VecDeque<Vec<f64>>],
-    mirror: &mut Vec<SoaSeries<T>>,
+    mirror: &mut Vec<SoaWindow<T>>,
     scalar_norm: fn(&NormSnapshot, &NormSnapshot) -> f64,
 ) -> u64 {
     let SampleCtx {
@@ -94,38 +106,54 @@ fn sample_into<T: SoaScalar>(
         base,
         ring,
         newest,
+        pairs,
+        cols,
+        spare,
+        lanes,
     } = ctx;
     if mirror.is_empty() {
-        mirror.extend((0..ring.len()).map(|_| SoaSeries::empty(base)));
+        // Sized on first use: building a cache (one per served session)
+        // allocates nothing up front.
+        mirror.extend((0..ring.len()).map(|_| SoaWindow::new(window + 1)));
+        lanes.resize(window + 1, 0.0);
     }
     for (m, r) in mirror.iter_mut().zip(ring) {
-        m.push(r.back().expect("ring holds the newest sample"));
+        m.push(newest, r.back().expect("ring holds the newest sample"));
     }
     let w = window as isize;
+    // Sources of the new column and targets of the backfill both span
+    // [lo, newest]: at most W + 1 samples, all inside the window.
     let d_max = window.min(newest - base);
-    let mut lane_buf = vec![0.0f64; window.max(1)];
+    let lo = newest - d_max;
     let mut built = 0u64;
     for (p, &(i, j)) in pairs.iter().enumerate() {
         let a = &ring[i];
         let b = &ring[j];
-        let mut col = vec![0.0f64; 2 * window + 1];
-        match PairKernel::new(&mirror[i], &mirror[j], window, newest + 1) {
-            Some(mut kern) => {
-                // The new column for t = newest: the kernel mask
-                // [max(t−W, base), min(newest, src_len−1)] is exactly the
-                // cache's "source has arrived and is in the ring" rule.
-                built += kern.row_into(newest, &a[newest - base], &mut col) as u64;
-                // Backfill: column t = newest − d gains its src = newest
-                // entry at lag −d (index W − d), swapped-roles lanes over
-                // t (bitwise-symmetric to the forward orientation).
+        let mut col = spare.pop().unwrap_or_else(|| vec![0.0; 2 * window + 1]);
+        col.fill(0.0);
+        match mirror[i].pair_dims(&mirror[j]) {
+            Some(dims) => {
+                // The new column for t = newest: source lo + s sits at lag
+                // index W + newest − (lo + s).
+                let out = &mut lanes[..=d_max];
+                T::trrs_lanes(mirror[i].newest(dims), mirror[j].lanes(lo), dims, out);
+                for (s, &v) in out.iter().enumerate() {
+                    col[window + d_max - s] = v;
+                }
+                built += out.len() as u64;
+                // Backfill: column t = lo + s gains its src = newest entry
+                // at lag −(newest − t), swapped-roles lanes over t. The
+                // kernel conjugates the fixed side, which is bitwise
+                // symmetric: the inner product's real part is unchanged
+                // term by term and its imaginary part exactly negated, so
+                // the magnitude sees the same bits.
                 if d_max > 0 {
-                    let lo = newest - d_max;
-                    kern.lanes_fixed_b(&b[newest - base], lo, &mut lane_buf[..d_max]);
-                    for (idx, &v) in lane_buf[..d_max].iter().enumerate() {
-                        let t = lo + idx;
-                        let k = (w - (newest - t) as isize) as usize;
+                    let out = &mut lanes[..d_max];
+                    T::trrs_lanes(mirror[j].newest(dims), mirror[i].lanes(lo), dims, out);
+                    for (s, &v) in out.iter().enumerate() {
+                        let t = lo + s;
                         if let Some(prev) = cols[p].get_mut(t - base) {
-                            prev[k] = v;
+                            prev[window + t - newest] = v;
                             built += 1;
                         }
                     }
@@ -192,6 +220,8 @@ impl ColumnCache {
             base: 0,
             pairs,
             cols,
+            spare: Vec::new(),
+            lanes: Vec::new(),
             mirror,
         }
     }
@@ -206,7 +236,9 @@ impl ColumnCache {
     /// and backfills the negative-lag entries of the previous `W` columns
     /// whose source is the new sample. Returns the number of TRRS entries
     /// computed — the per-sample work is bounded by
-    /// `pairs × (3W + 1)` regardless of how long the motion has run.
+    /// `pairs × (2W + 1)` regardless of how long the motion has run, and
+    /// once warm (columns recycled by [`Self::trim_to`]) the call does not
+    /// allocate.
     pub fn on_sample(&mut self, ring: &[VecDeque<NormSnapshot>], ring_base: usize) -> u64 {
         debug_assert_eq!(self.base, ring_base, "cache and ring trimmed in lockstep");
         let n = ring.first().map_or(0, VecDeque::len);
@@ -218,10 +250,24 @@ impl ColumnCache {
             base: self.base,
             ring,
             newest: ring_base + n - 1,
+            pairs: &self.pairs,
+            cols: &mut self.cols,
+            spare: &mut self.spare,
+            lanes: &mut self.lanes,
         };
         match &mut self.mirror {
-            Mirror::F64(m) => sample_into(ctx, &self.pairs, &mut self.cols, m, trrs_norm),
-            Mirror::F32(m) => sample_into(ctx, &self.pairs, &mut self.cols, m, trrs_norm_f32),
+            Mirror::F64(m) => sample_into(ctx, m, trrs_norm),
+            Mirror::F32(m) => sample_into(ctx, m, trrs_norm_f32),
+        }
+    }
+
+    /// Bytes held by the window mirror: fixed once every antenna has seen
+    /// its first sample, whatever the ring length.
+    #[cfg(test)]
+    pub(crate) fn mirror_bytes(&self) -> usize {
+        match &self.mirror {
+            Mirror::F64(m) => m.iter().map(SoaWindow::allocated_bytes).sum(),
+            Mirror::F32(m) => m.iter().map(SoaWindow::allocated_bytes).sum(),
         }
     }
 
@@ -294,15 +340,16 @@ impl ColumnCache {
     }
 
     /// Drops columns below `new_base` (called after the stream trims its
-    /// ring, with the ring's new base).
+    /// ring, with the ring's new base). The window mirror needs no trim:
+    /// it only ever holds the newest `W + 1` samples.
     pub fn trim_to(&mut self, new_base: usize) {
         while self.base < new_base {
             for c in &mut self.cols {
-                c.pop_front();
-            }
-            match &mut self.mirror {
-                Mirror::F64(m) => m.iter_mut().for_each(SoaSeries::pop_front),
-                Mirror::F32(m) => m.iter_mut().for_each(SoaSeries::pop_front),
+                if let Some(col) = c.pop_front() {
+                    if self.spare.len() < self.pairs.len() {
+                        self.spare.push(col);
+                    }
+                }
             }
             self.base += 1;
         }
@@ -315,8 +362,8 @@ impl ColumnCache {
             c.clear();
         }
         match &mut self.mirror {
-            Mirror::F64(m) => m.iter_mut().for_each(|s| s.reset(new_base)),
-            Mirror::F32(m) => m.iter_mut().for_each(|s| s.reset(new_base)),
+            Mirror::F64(m) => m.iter_mut().for_each(SoaWindow::reset),
+            Mirror::F32(m) => m.iter_mut().for_each(SoaWindow::reset),
         }
         self.base = new_base;
     }

@@ -6,7 +6,9 @@
 //! that accelerometer/gyroscope detectors miss (Fig. 7). A fixed threshold
 //! works because a static antenna's TRRS "always touches close to 1".
 
-use crate::trrs::{trrs_massive, NormSnapshot};
+use crate::trrs::{trrs_norm, NormSnapshot};
+use std::collections::VecDeque;
+use std::ops::Index;
 
 /// Movement-detection parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,23 +40,107 @@ impl MovementConfig {
 
 /// The movement indicator: self-TRRS of one antenna at lag `l_mv`, per
 /// sample. The first `lag` samples (no history yet) report 1.0 (static).
+///
+/// Bit-identical to `trrs_massive(series, series, t, t − lag, V)` per
+/// sample, computed in one pass: every block of that definition averages
+/// the lagged self-TRRS terms `d[u] = κ(s[u], s[u − lag])` for
+/// `u ∈ [max(t − V/2, lag), min(t + V/2, n − 1)]`, so each term is
+/// computed once and each block sums its terms in increasing `u`, the
+/// definition's exact order and skip rule.
 pub fn movement_indicator(series: &[NormSnapshot], config: MovementConfig) -> Vec<f64> {
     let n = series.len();
-    let mut out = Vec::with_capacity(n);
-    for t in 0..n {
-        if t < config.lag {
-            out.push(1.0);
-        } else {
-            out.push(trrs_massive(
-                series,
-                series,
-                t,
-                t - config.lag,
-                config.virtual_antennas,
-            ));
-        }
+    let lag = config.lag;
+    let half = config.virtual_antennas / 2;
+    let d: Vec<f64> = (lag.min(n)..n)
+        .map(|u| lagged_term(series, u, lag))
+        .collect();
+    (0..n)
+        .map(|t| {
+            if t < lag {
+                return 1.0;
+            }
+            let lo = t.saturating_sub(half).max(lag);
+            let hi = (t + half).min(n - 1);
+            block_mean(d[lo - lag..=hi - lag].iter().copied())
+        })
+        .collect()
+}
+
+/// The lagged self-TRRS term `d[u] = κ(s[u], s[u − lag])` of a series
+/// (a slice in batch, the snapshot ring in a stream).
+fn lagged_term<S>(s: &S, u: usize, lag: usize) -> f64
+where
+    S: Index<usize, Output = NormSnapshot> + ?Sized,
+{
+    trrs_norm(&s[u], &s[u - lag])
+}
+
+/// Mean of a block of `d` terms, summed in iteration order; 0 for an
+/// empty block (`trrs_massive`'s no-overlap value).
+fn block_mean(terms: impl Iterator<Item = f64>) -> f64 {
+    let mut acc = 0.0;
+    let mut count = 0usize;
+    for d in terms {
+        acc += d;
+        count += 1;
     }
-    out
+    if count == 0 {
+        0.0
+    } else {
+        acc / count as f64
+    }
+}
+
+/// The causal [`movement_indicator`] of one live antenna: the `d` terms
+/// of the newest `V/2 + 1` samples, each computed once, when its sample
+/// arrives.
+///
+/// A stream evaluates the indicator at its newest sample `t` over the
+/// ring `[base, t]` it holds, so the block loses its future half and
+/// every term whose lag partner predates the ring: it averages `d[u]` for
+/// `u ∈ [max(t − V/2, base + lag), t]` — exactly what
+/// [`movement_indicator`] returns for the last sample of that ring.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LaggedTerms {
+    /// `(u, d[u])`, increasing `u`.
+    terms: VecDeque<(usize, f64)>,
+}
+
+impl LaggedTerms {
+    /// Takes the antenna's ring `[base, t]` after sample `t` arrived and
+    /// returns the indicator at `t`, or `None` while the ring holds no
+    /// sample `lag` behind `t`.
+    pub(crate) fn advance(
+        &mut self,
+        ring: &VecDeque<NormSnapshot>,
+        base: usize,
+        config: MovementConfig,
+    ) -> Option<f64> {
+        let len = ring.len();
+        if len <= config.lag {
+            return None;
+        }
+        let t = base + len - 1;
+        let first = t
+            .saturating_sub(config.virtual_antennas / 2)
+            .max(base + config.lag);
+        while self.terms.front().is_some_and(|&(u, _)| u < first) {
+            self.terms.pop_front();
+        }
+        let d = lagged_term(ring, len - 1, config.lag);
+        self.terms.push_back((t, d));
+        Some(self.value())
+    }
+
+    /// The block mean of the held terms.
+    pub(crate) fn value(&self) -> f64 {
+        block_mean(self.terms.iter().map(|&(_, d)| d))
+    }
+
+    /// Forgets every term (a stream split restarts the ring).
+    pub(crate) fn clear(&mut self) {
+        self.terms.clear();
+    }
 }
 
 /// Thresholded movement detection. Returns one flag per sample

@@ -6,22 +6,24 @@
 //! of a cross-TRRS row, the backfill span of the incremental cache), and
 //! in AoS form each comparison walks freshly scattered allocations.
 //!
-//! [`SoaSeries`] transposes a snapshot series into subcarrier-major real
-//! planes:
+//! Two containers transpose snapshots into subcarrier-major real planes:
 //!
 //! ```text
-//! row (tx, k)   →   re[(tx·n_sub + k)·cap + t],  t ∈ start..start+len
+//! row (tx, k)   →   re[(tx·n_sub + k)·stride + lane]
 //! ```
 //!
 //! so the `v` operands of one SIMD row kernel — the same `(tx, k)`
 //! element of `v` *consecutive snapshots* — are `v` contiguous reals, one
 //! aligned vector load. The time-fixed side of a comparison is gathered
-//! once per row into a contiguous scratch (O(S·N), amortised over the
-//! O(W·S·N) row) and broadcast per element.
+//! once into a contiguous scratch (O(S·N), amortised over the O(W·S·N)
+//! row) and broadcast per element.
 //!
-//! The container doubles as the incremental engine's ring mirror:
-//! `push`/`pop_front` keep a sliding window in lockstep with the stream's
-//! snapshot ring, compacting or growing amortised-O(1).
+//! * [`SoaSeries`] packs a batch range once (`stride` = range length) for
+//!   the alignment matrix builds.
+//! * [`SoaWindow`] holds only the newest `C` samples of one live antenna
+//!   for the incremental column cache, as a double-written ring of row
+//!   stride `2C`: its footprint is fixed by `C` (O(W)) however long the
+//!   stream's snapshot ring grows, and a sample never moves once stored.
 //!
 //! Series whose snapshots disagree on shape (TX count or subcarrier
 //! count) latch `ragged` and the callers fall back to the scalar AoS
@@ -85,82 +87,61 @@ impl SoaScalar for f32 {
     }
 }
 
-/// A snapshot series transposed to subcarrier-major real planes (see the
-/// module docs), with `push`/`pop_front` for ring mirroring.
+/// A snapshot range transposed to subcarrier-major real planes (see the
+/// module docs), packed once by [`Self::pack_range`].
 #[derive(Debug, Clone)]
 pub(crate) struct SoaSeries<T> {
-    /// `(n_tx, n_sub)` of every stored snapshot; `None` until the first
-    /// one arrives.
+    /// `(n_tx, n_sub)` of every stored snapshot; `None` for an empty pack.
     shape: Option<(usize, usize)>,
     /// Some snapshot disagreed with `shape` (or the shape is degenerate):
     /// the data planes are unusable, callers take the scalar AoS path.
     ragged: bool,
-    /// Absolute index of element 0 — the ring base for mirrors, the pack
-    /// range start for batch packs.
+    /// Absolute index of element 0 (the pack range start).
     offset: usize,
-    /// Row capacity in elements (the lane stride).
-    cap: usize,
-    /// First valid position within each row.
-    start: usize,
-    /// Valid positions per row.
+    /// Packed snapshots — also the lane stride of every row.
     len: usize,
     re: Vec<T>,
     im: Vec<T>,
 }
 
 impl<T: SoaScalar> SoaSeries<T> {
-    /// An empty series whose element 0 will be absolute index `offset`.
-    pub(crate) fn empty(offset: usize) -> Self {
-        Self {
-            shape: None,
-            ragged: false,
-            offset,
-            cap: 0,
-            start: 0,
-            len: 0,
-            re: Vec::new(),
-            im: Vec::new(),
-        }
-    }
-
     /// Packs `series[r0..r1]` with exact capacity; element 0 is absolute
     /// index `r0`.
     ///
     /// The fill is a blocked transpose: a naive per-snapshot scatter
     /// touches a distinct cache line per subcarrier row (the write stride
-    /// is the full row capacity), which at typical shapes costs more than
+    /// is the full row length), which at typical shapes costs more than
     /// the kernel work it feeds. Time-blocks small enough that the
     /// block's snapshots stay L1-resident let every row sweep them with
-    /// sequential writes instead. Values are bit-identical to the
-    /// [`Self::push`] path — both store `T::from_f64` of the same field.
+    /// sequential writes instead. Every stored value is `T::from_f64` of
+    /// the snapshot field, exactly as [`SoaWindow::push`] stores it.
     pub(crate) fn pack_range(series: &[NormSnapshot], r0: usize, r1: usize) -> Self {
-        let mut s = Self::empty(r0);
-        s.cap = r1 - r0;
         let slice = &series[r0..r1];
+        let mut s = Self {
+            shape: None,
+            ragged: false,
+            offset: r0,
+            len: slice.len(),
+            re: Vec::new(),
+            im: Vec::new(),
+        };
         let Some(first) = slice.first() else {
             return s;
         };
-        let n_tx = first.per_tx.len();
-        let n_sub = first.per_tx.first().map_or(0, Vec::len);
+        let (n_tx, n_sub) = shape_of(first);
         s.shape = Some((n_tx, n_sub));
-        if n_tx == 0
-            || n_sub == 0
-            || slice
-                .iter()
-                .any(|sn| sn.per_tx.len() != n_tx || sn.per_tx.iter().any(|v| v.len() != n_sub))
-        {
+        if n_tx == 0 || n_sub == 0 || slice.iter().any(|sn| !has_shape(sn, (n_tx, n_sub))) {
             s.ragged = true;
-            s.len = slice.len();
             return s;
         }
         let rows = n_tx * n_sub;
-        s.re = vec![T::default(); rows * s.cap];
-        s.im = vec![T::default(); rows * s.cap];
+        s.re = vec![T::default(); rows * s.len];
+        s.im = vec![T::default(); rows * s.len];
         const BLOCK: usize = 16;
         for t0 in (0..slice.len()).step_by(BLOCK) {
             let t1 = (t0 + BLOCK).min(slice.len());
             for (tx, k2) in (0..n_tx).flat_map(|tx| (0..n_sub).map(move |k| (tx, k))) {
-                let base = (tx * n_sub + k2) * s.cap;
+                let base = (tx * n_sub + k2) * s.len;
                 for (t, snap) in slice.iter().enumerate().take(t1).skip(t0) {
                     let z = snap.per_tx[tx][k2];
                     s.re[base + t] = T::from_f64(z.re);
@@ -168,11 +149,10 @@ impl<T: SoaScalar> SoaSeries<T> {
                 }
             }
         }
-        s.len = slice.len();
         s
     }
 
-    /// Number of stored snapshots.
+    /// Number of packed snapshots.
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -188,109 +168,9 @@ impl<T: SoaScalar> SoaSeries<T> {
         self.ragged
     }
 
-    /// `(n_tx, n_sub)`, once known.
+    /// `(n_tx, n_sub)`, unless the pack is empty.
     pub(crate) fn shape(&self) -> Option<(usize, usize)> {
         self.shape
-    }
-
-    fn rows(&self) -> usize {
-        self.shape.map_or(0, |(tx, sub)| tx * sub)
-    }
-
-    /// Appends one snapshot (the mirror call for every ring append).
-    pub(crate) fn push(&mut self, snap: &NormSnapshot) {
-        let (n_tx, n_sub) = *self.shape.get_or_insert_with(|| {
-            let n_tx = snap.per_tx.len();
-            let n_sub = snap.per_tx.first().map_or(0, Vec::len);
-            (n_tx, n_sub)
-        });
-        if !self.ragged
-            && (n_tx == 0
-                || n_sub == 0
-                || snap.per_tx.len() != n_tx
-                || snap.per_tx.iter().any(|v| v.len() != n_sub))
-        {
-            self.ragged = true;
-        }
-        if self.ragged {
-            // Keep the index bookkeeping in lockstep; the planes are dead.
-            self.len += 1;
-            return;
-        }
-        if self.start + self.len == self.cap {
-            self.make_room();
-        }
-        // A pre-sized pack (`pack_range`) sets `cap` before the first
-        // push; allocate the planes once the shape is known.
-        let plane = self.rows() * self.cap;
-        if self.re.len() < plane {
-            self.re.resize(plane, T::default());
-            self.im.resize(plane, T::default());
-        }
-        let pos = self.start + self.len;
-        for (tx, cfr) in snap.per_tx.iter().enumerate() {
-            for (k, z) in cfr.iter().enumerate() {
-                let row = tx * n_sub + k;
-                self.re[row * self.cap + pos] = T::from_f64(z.re);
-                self.im[row * self.cap + pos] = T::from_f64(z.im);
-            }
-        }
-        self.len += 1;
-    }
-
-    /// Makes space for one more position: compacts when at least half the
-    /// row is dead prefix, doubles the capacity otherwise — amortised
-    /// O(1) per push either way.
-    fn make_room(&mut self) {
-        let rows = self.rows();
-        if self.start >= (self.cap / 2).max(1) {
-            for r in 0..rows {
-                let base = r * self.cap;
-                self.re
-                    .copy_within(base + self.start..base + self.start + self.len, base);
-                self.im
-                    .copy_within(base + self.start..base + self.start + self.len, base);
-            }
-            self.start = 0;
-            return;
-        }
-        let new_cap = (self.cap * 2).max(16);
-        let mut re = vec![T::default(); rows * new_cap];
-        let mut im = vec![T::default(); rows * new_cap];
-        for r in 0..rows {
-            let src = r * self.cap + self.start;
-            re[r * new_cap..r * new_cap + self.len].copy_from_slice(&self.re[src..src + self.len]);
-            im[r * new_cap..r * new_cap + self.len].copy_from_slice(&self.im[src..src + self.len]);
-        }
-        self.re = re;
-        self.im = im;
-        self.cap = new_cap;
-        self.start = 0;
-    }
-
-    /// Drops the oldest snapshot (the mirror call for a ring trim). On an
-    /// empty series only the offset advances, staying in lockstep with a
-    /// ring whose trim overshoots its content.
-    pub(crate) fn pop_front(&mut self) {
-        self.offset += 1;
-        if self.len == 0 {
-            return;
-        }
-        self.start += 1;
-        self.len -= 1;
-        if self.len == 0 {
-            self.start = 0;
-        }
-    }
-
-    /// Discards everything including the shape — a new stream epoch after
-    /// a split; element 0 will be absolute index `offset`.
-    pub(crate) fn reset(&mut self, offset: usize) {
-        self.shape = None;
-        self.ragged = false;
-        self.offset = offset;
-        self.start = 0;
-        self.len = 0;
     }
 
     /// Lane view with lane 0 at absolute index `lo_abs`.
@@ -298,21 +178,167 @@ impl<T: SoaScalar> SoaSeries<T> {
         Lanes {
             re: &self.re,
             im: &self.im,
-            stride: self.cap,
-            off: self.start + (lo_abs - self.offset),
+            stride: self.len,
+            off: lo_abs - self.offset,
         }
     }
 }
 
-/// The cross-TRRS row kernel for one series pair, with everything the
-/// historical per-entry loop recomputed hoisted to construction time: the
-/// common TX count, the shared subcarrier count, and — the fix this PR
-/// pins with a regression test — the `src_len` masking bound, which used
-/// to be re-derived per call (and silently wrong for asymmetric series,
-/// hence the equal-length assert it replaces).
+/// `(n_tx, n_sub)` of a snapshot, reading the subcarrier count off its
+/// first TX chain.
+fn shape_of(snap: &NormSnapshot) -> (usize, usize) {
+    (snap.per_tx.len(), snap.per_tx.first().map_or(0, Vec::len))
+}
+
+/// Whether every TX chain of `snap` has the given shape.
+fn has_shape(snap: &NormSnapshot, (n_tx, n_sub): (usize, usize)) -> bool {
+    snap.per_tx.len() == n_tx && snap.per_tx.iter().all(|v| v.len() == n_sub)
+}
+
+/// The kernel dimensions of a pair of shapes: `(min(n_tx), n_sub)`, or
+/// `None` when the subcarrier counts disagree or either side is empty —
+/// the shapes the scalar AoS fallback handles.
+fn pair_dims(
+    (a_tx, a_sub): (usize, usize),
+    (b_tx, b_sub): (usize, usize),
+) -> Option<(usize, usize)> {
+    let n_tx = a_tx.min(b_tx);
+    (a_sub == b_sub && a_sub != 0 && n_tx != 0).then_some((n_tx, a_sub))
+}
+
+/// The newest `C` snapshots of one antenna's stream, in the same
+/// subcarrier-major planes as [`SoaSeries`], for the incremental column
+/// cache.
+///
+/// The window is a double-written ring: absolute sample `t` is stored at
+/// position `t mod C` *and* `t mod C + C` of every row (row stride `2C`),
+/// so any run of at most `C` consecutive samples in the window is one
+/// contiguous [`Lanes`] view starting at `lo mod C`. Storage is sized
+/// once, when the first snapshot fixes the shape, and never compacts,
+/// regrows or moves: a sample costs two stores per row element.
+///
+/// Alongside the planes the window keeps the newest snapshot contiguous
+/// (TX-major), the fixed operand of every kernel call that pivots on it.
+#[derive(Debug, Clone)]
+pub(crate) struct SoaWindow<T> {
+    /// `(n_tx, n_sub)` of the epoch's first snapshot; `None` until it
+    /// arrives.
+    shape: Option<(usize, usize)>,
+    /// Some snapshot of this epoch disagreed with `shape` (or the shape
+    /// is degenerate): the planes are unusable until [`Self::reset`].
+    ragged: bool,
+    /// Lane capacity `C`: the window holds the newest `C` samples.
+    cap: usize,
+    re: Vec<T>,
+    im: Vec<T>,
+    newest_re: Vec<T>,
+    newest_im: Vec<T>,
+}
+
+impl<T: SoaScalar> SoaWindow<T> {
+    /// An empty window holding up to `cap` samples (`cap ≥ 1`).
+    pub(crate) fn new(cap: usize) -> Self {
+        Self {
+            shape: None,
+            ragged: false,
+            cap: cap.max(1),
+            re: Vec::new(),
+            im: Vec::new(),
+            newest_re: Vec::new(),
+            newest_im: Vec::new(),
+        }
+    }
+
+    /// Stores `snap` as absolute sample `t`, evicting sample `t − C`.
+    pub(crate) fn push(&mut self, t: usize, snap: &NormSnapshot) {
+        let shape = *self.shape.get_or_insert_with(|| shape_of(snap));
+        if self.ragged || shape.0 == 0 || shape.1 == 0 || !has_shape(snap, shape) {
+            self.ragged = true;
+            return;
+        }
+        let rows = shape.0 * shape.1;
+        let stride = 2 * self.cap;
+        if self.newest_re.len() != rows {
+            self.re = vec![T::default(); rows * stride];
+            self.im = vec![T::default(); rows * stride];
+            self.newest_re = vec![T::default(); rows];
+            self.newest_im = vec![T::default(); rows];
+        }
+        let slot = t % self.cap;
+        for (row, z) in snap.per_tx.iter().flatten().enumerate() {
+            let (re, im) = (T::from_f64(z.re), T::from_f64(z.im));
+            let p = row * stride + slot;
+            self.re[p] = re;
+            self.re[p + self.cap] = re;
+            self.im[p] = im;
+            self.im[p + self.cap] = im;
+            self.newest_re[row] = re;
+            self.newest_im[row] = im;
+        }
+    }
+
+    /// Forgets the shape and raggedness (a new stream epoch after a
+    /// split); the storage is kept for the next epoch.
+    pub(crate) fn reset(&mut self) {
+        self.shape = None;
+        self.ragged = false;
+    }
+
+    /// Lane capacity `C`.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.cap
+    }
+
+    /// Bytes of storage held: two planes of `2C + 1` slots per row (the
+    /// double-written window plus the contiguous newest snapshot).
+    #[cfg(test)]
+    pub(crate) fn allocated_bytes(&self) -> usize {
+        let slots = self.re.capacity()
+            + self.im.capacity()
+            + self.newest_re.capacity()
+            + self.newest_im.capacity();
+        slots * std::mem::size_of::<T>()
+    }
+
+    /// `(min(n_tx), n_sub)` for a kernel between two windows, or `None`
+    /// when either is ragged or the shapes refuse the SoA path.
+    pub(crate) fn pair_dims(&self, other: &Self) -> Option<(usize, usize)> {
+        if self.ragged || other.ragged {
+            return None;
+        }
+        pair_dims(self.shape?, other.shape?)
+    }
+
+    /// The newest snapshot as a kernel's fixed operand, truncated to
+    /// `dims`.
+    pub(crate) fn newest(&self, dims: (usize, usize)) -> Fixed<'_, T> {
+        let n = dims.0 * dims.1;
+        Fixed {
+            re: &self.newest_re[..n],
+            im: &self.newest_im[..n],
+        }
+    }
+
+    /// Lane view with lane 0 at absolute sample `lo`; valid for up to `C`
+    /// lanes, all of which must lie in the window.
+    pub(crate) fn lanes(&self, lo: usize) -> Lanes<'_, T> {
+        Lanes {
+            re: &self.re,
+            im: &self.im,
+            stride: 2 * self.cap,
+            off: lo % self.cap,
+        }
+    }
+}
+
+/// The cross-TRRS row kernel for one packed series pair, with everything
+/// the historical per-entry loop recomputed hoisted to construction time:
+/// the common TX count, the shared subcarrier count, and the `src_len`
+/// masking bound, which used to be re-derived per call (and was silently
+/// wrong for asymmetric series; a regression test pins it).
 #[derive(Debug)]
 pub(crate) struct PairKernel<'s, T: SoaScalar> {
-    a: &'s SoaSeries<T>,
     b: &'s SoaSeries<T>,
     window: usize,
     /// Absolute length of the source series `b` — lag entries whose
@@ -330,7 +356,7 @@ impl<'s, T: SoaScalar> PairKernel<'s, T> {
     /// path (ragged series, empty series, or disagreeing subcarrier
     /// counts — the scalar AoS fallback handles those shapes).
     pub(crate) fn new(
-        a: &'s SoaSeries<T>,
+        a: &SoaSeries<T>,
         b: &'s SoaSeries<T>,
         window: usize,
         src_len: usize,
@@ -338,21 +364,11 @@ impl<'s, T: SoaScalar> PairKernel<'s, T> {
         if a.is_ragged() || b.is_ragged() {
             return None;
         }
-        let (a_tx, a_sub) = a.shape()?;
-        let (b_tx, b_sub) = b.shape()?;
-        if a_sub != b_sub || a_sub == 0 {
-            return None;
-        }
-        let n_tx = a_tx.min(b_tx);
-        if n_tx == 0 {
-            return None;
-        }
         Some(Self {
-            a,
             b,
             window,
             src_len,
-            dims: (n_tx, a_sub),
+            dims: pair_dims(a.shape()?, b.shape()?)?,
             scratch_re: Vec::new(),
             scratch_im: Vec::new(),
             tmp: vec![0.0; 2 * window + 1],
@@ -361,7 +377,7 @@ impl<'s, T: SoaScalar> PairKernel<'s, T> {
 
     /// The masked source range of column `t_abs`: absolute source indices
     /// within the lag window that exist both in the series bounds and in
-    /// the packed/mirrored span of `b`.
+    /// the packed span of `b`.
     fn src_range(&self, t_abs: usize) -> Option<(usize, usize)> {
         let lo = t_abs.saturating_sub(self.window).max(self.b.offset());
         let hi = (t_abs + self.window).min(
@@ -417,23 +433,6 @@ impl<'s, T: SoaScalar> PairKernel<'s, T> {
             row[t_abs + self.window - (lo + i)] = v;
         }
         n
-    }
-
-    /// The backfill lanes of the incremental cache: `out[i]` is the TRRS
-    /// of `a[lo_abs + i]` against the fixed `snap_b` (the series-`b`
-    /// snapshot the roles pivot on). The roles are swapped relative to
-    /// [`Self::row_into`] — the kernel conjugates the fixed side — which
-    /// is bit-identical to conjugating the varying side: the real part of
-    /// the inner product is unchanged term by term and the imaginary part
-    /// is exactly negated, so `hypot` (and the f32 path's `re² + im²`)
-    /// sees the same magnitude bits.
-    pub(crate) fn lanes_fixed_b(&mut self, snap_b: &NormSnapshot, lo_abs: usize, out: &mut [f64]) {
-        self.gather_snapshot(snap_b);
-        let fixed = Fixed {
-            re: &self.scratch_re,
-            im: &self.scratch_im,
-        };
-        T::trrs_lanes(fixed, self.a.lanes_abs(lo_abs), self.dims, out);
     }
 }
 
@@ -523,57 +522,98 @@ mod tests {
         }
     }
 
+    /// Runs the row kernel of the newest window sample of `fixed` against
+    /// `n` lanes of `lanes` from absolute sample `lo`.
+    fn window_row<T: SoaScalar>(
+        fixed: &SoaWindow<T>,
+        lanes: &SoaWindow<T>,
+        lo: usize,
+        n: usize,
+    ) -> Vec<f64> {
+        let dims = fixed.pair_dims(lanes).expect("regular windows");
+        let mut out = vec![0.0; n];
+        T::trrs_lanes(fixed.newest(dims), lanes.lanes(lo), dims, &mut out);
+        out
+    }
+
+    /// Every run of up to `C` window lanes reads back exactly the scalar
+    /// reference, across ring wrap-around, in both precisions; storage is
+    /// sized once at `2C + 1` slots per row and plane.
+    #[test]
+    fn window_lanes_match_the_scalar_reference_across_wraparound() {
+        let (len, cap) = (37usize, 6usize);
+        let a = series(5, len, 2, 17);
+        let b = series(6, len, 2, 17);
+        let mut wa = SoaWindow::<f64>::new(cap);
+        let mut wb = SoaWindow::<f64>::new(cap);
+        let mut wa32 = SoaWindow::<f32>::new(cap);
+        let mut wb32 = SoaWindow::<f32>::new(cap);
+        for t in 0..len {
+            wa.push(t, &a[t]);
+            wb.push(t, &b[t]);
+            wa32.push(t, &a[t]);
+            wb32.push(t, &b[t]);
+            for lo in t.saturating_sub(cap - 1)..=t {
+                let n = t - lo + 1;
+                let row = window_row(&wa, &wb, lo, n);
+                let row32 = window_row(&wa32, &wb32, lo, n);
+                for i in 0..n {
+                    let src = lo + i;
+                    let want = trrs_norm(&a[t], &b[src]);
+                    assert_eq!(row[i].to_bits(), want.to_bits(), "t={t} src={src}");
+                    let want = trrs_norm_f32(&a[t], &b[src]);
+                    assert_eq!(row32[i].to_bits(), want.to_bits(), "f32 t={t} src={src}");
+                }
+            }
+        }
+        assert_eq!(wa.capacity(), cap);
+        assert_eq!(wa.allocated_bytes(), 2 * 17 * 2 * (2 * cap + 1) * 8);
+        assert_eq!(wa32.allocated_bytes(), 2 * 17 * 2 * (2 * cap + 1) * 4);
+    }
+
     #[test]
     fn swapped_roles_are_bitwise_symmetric() {
-        // The backfill kernel conjugates the other operand; §docs argue
-        // the magnitude bits cannot change. Pin it.
-        let a = series(5, 20, 2, 17);
-        let b = series(6, 20, 2, 17);
-        let sa = SoaSeries::<f64>::pack_range(&a, 0, a.len());
-        let sb = SoaSeries::<f64>::pack_range(&b, 0, b.len());
-        let mut kern = PairKernel::new(&sa, &sb, 4, b.len()).unwrap();
-        let mut out = vec![0.0; 12];
-        kern.lanes_fixed_b(&b[9], 3, &mut out);
-        for (i, &got) in out.iter().enumerate() {
-            let want = trrs_norm(&a[3 + i], &b[9]);
-            assert_eq!(got.to_bits(), want.to_bits(), "lane {i}");
+        // The cache's backfill fixes the newer `b` snapshot and runs the
+        // lanes over `a`, so the kernel conjugates the other operand; the
+        // magnitude bits cannot change. Pin it.
+        let (len, cap) = (20usize, 5usize);
+        let a = series(5, len, 2, 17);
+        let b = series(6, len, 2, 17);
+        let mut wa = SoaWindow::<f64>::new(cap);
+        let mut wb = SoaWindow::<f64>::new(cap);
+        for t in 0..len {
+            wa.push(t, &a[t]);
+            wb.push(t, &b[t]);
+            let lo = t.saturating_sub(cap - 1);
+            let out = window_row(&wb, &wa, lo, t - lo + 1);
+            for (i, got) in out.iter().enumerate() {
+                let want = trrs_norm(&a[lo + i], &b[t]);
+                assert_eq!(got.to_bits(), want.to_bits(), "t={t} lane {i}");
+            }
         }
     }
 
     #[test]
-    fn ring_mirror_tracks_push_pop_and_reset() {
-        let s = series(7, 40, 1, 9);
-        let mut ring = SoaSeries::<f64>::empty(0);
-        let mut popped = 0usize;
-        for (t, snap) in s.iter().enumerate() {
-            ring.push(snap);
-            if t % 3 == 2 {
-                ring.pop_front();
-                popped += 1;
-            }
-        }
-        assert_eq!(ring.len(), s.len() - popped);
-        assert_eq!(ring.offset(), popped);
-        // Every retained snapshot must read back exactly.
-        let full = SoaSeries::<f64>::pack_range(&s, 0, s.len());
-        let mut ka = PairKernel::new(&ring, &ring, 2, s.len()).unwrap();
-        let mut kb = PairKernel::new(&full, &full, 2, s.len()).unwrap();
-        let mut ra = vec![0.0; 5];
-        let mut rb = vec![0.0; 5];
-        for (t, snap) in s.iter().enumerate().skip(popped) {
-            ka.row_into(t, snap, &mut ra);
-            kb.row_into(t, snap, &mut rb);
-            for (x, y) in ra.iter().zip(&rb) {
-                // The mirror can only mask *more* (older sources dropped).
-                assert!(x.to_bits() == y.to_bits() || *x == 0.0, "t={t}");
-            }
-        }
-        ring.reset(100);
-        assert_eq!(ring.len(), 0);
-        assert!(ring.shape().is_none());
-        ring.push(&snapshot(999, 3, 4));
-        assert_eq!(ring.shape(), Some((3, 4)));
-        assert_eq!(ring.offset(), 100);
+    fn window_latches_ragged_until_reset() {
+        let s = series(7, 4, 2, 9);
+        let mut w = SoaWindow::<f64>::new(3);
+        let other = {
+            let mut o = SoaWindow::<f64>::new(3);
+            o.push(0, &s[0]);
+            o
+        };
+        w.push(0, &s[0]);
+        assert!(w.pair_dims(&other).is_some());
+        w.push(1, &snapshot(99, 1, 9)); // TX count change → ragged
+        w.push(2, &s[2]);
+        assert!(w.pair_dims(&other).is_none());
+        w.reset();
+        w.push(3, &snapshot(100, 3, 9));
+        // A new epoch takes a new shape; mismatched TX counts truncate.
+        assert_eq!(w.pair_dims(&other), Some((2, 9)));
+        let row = window_row(&w, &other, 0, 1);
+        let want = trrs_norm(&snapshot(100, 3, 9), &s[0]);
+        assert_eq!(row[0].to_bits(), want.to_bits());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use crate::error::Error;
 use crate::incremental::{ColumnCache, ProvisionalTracker};
-use crate::movement::{movement_indicator, MovementConfig};
+use crate::movement::LaggedTerms;
 use crate::pipeline::{
     Confidence, GapConfig, MotionEstimate, Rim, RimConfig, SegmentEstimate, SegmentInput,
 };
@@ -759,6 +759,9 @@ pub struct RimStream {
     first_seq: Option<u64>,
     /// Per-sample movement flags for the ring span (same base).
     moving: VecDeque<bool>,
+    /// Per-antenna lagged self-TRRS terms behind the newest movement
+    /// indicator.
+    lagged: Vec<LaggedTerms>,
     /// Per-sample "was interpolated" flags for the ring span (same base).
     interp: VecDeque<bool>,
     /// Absolute start of the currently open moving segment.
@@ -892,6 +895,7 @@ impl RimStream {
             pushed: 0,
             first_seq: None,
             moving: VecDeque::with_capacity(capacity),
+            lagged: Vec::new(),
             interp: VecDeque::with_capacity(capacity),
             open_segment: None,
             segment_continued: false,
@@ -1152,6 +1156,7 @@ impl RimStream {
                         ring.clear();
                     }
                     self.moving.clear();
+                    self.lagged.iter_mut().for_each(LaggedTerms::clear);
                     self.interp.clear();
                     self.ring_base = resume_idx;
                     self.pushed = resume_idx;
@@ -1235,7 +1240,7 @@ impl RimStream {
         // Incremental movement detection: min self-TRRS across antennas
         // at the newest sample.
         let mcfg = self.rim.config().movement;
-        let flag = self.instant_movement(&mcfg);
+        let flag = self.instant_movement();
         self.moving.push_back(flag);
 
         match (self.open_segment, flag) {
@@ -1360,23 +1365,20 @@ impl RimStream {
         events
     }
 
-    /// Movement flag for the newest ring sample.
-    fn instant_movement(&mut self, mcfg: &MovementConfig) -> bool {
-        let len = self.ring_len();
-        if len <= mcfg.lag {
-            return false;
+    /// Movement flag for the newest ring sample: the minimum across
+    /// antennas of the indicator at that sample, against the threshold.
+    /// Each antenna adds one lagged self-TRRS term per sample.
+    fn instant_movement(&mut self) -> bool {
+        let mcfg = self.rim.config().movement;
+        if self.lagged.is_empty() {
+            self.lagged
+                .resize_with(self.ring.len(), LaggedTerms::default);
         }
-        // Evaluate the indicator over a short suffix window and take the
-        // newest value (min across antennas). Borrow the ring in place —
-        // `make_contiguous` only rotates storage when the deque wrapped,
-        // so the steady-state sample ingests with zero snapshot clones.
-        let tail = (mcfg.lag + mcfg.virtual_antennas + 1).min(len);
         let mut min_ind = f64::INFINITY;
-        for ring in &mut self.ring {
-            let slice = &ring.make_contiguous()[len - tail..];
-            let ind = movement_indicator(slice, *mcfg);
-            if let Some(&v) = ind.last() {
-                min_ind = min_ind.min(v);
+        for (terms, ring) in self.lagged.iter_mut().zip(&self.ring) {
+            match terms.advance(ring, self.ring_base, mcfg) {
+                Some(v) => min_ind = min_ind.min(v),
+                None => return false,
             }
         }
         min_ind < mcfg.threshold
@@ -1579,6 +1581,8 @@ impl StreamAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::movement::MovementConfig;
+    use crate::pipeline::Precision;
     use rim_array::HALF_WAVELENGTH;
     use rim_channel::simulator::{ApConfig, ChannelSimulator};
     use rim_channel::trajectory::{dwell, line, OrientationMode};
@@ -2153,6 +2157,178 @@ mod tests {
             last > 0.2,
             "provisionals track real motion, got {last:.3} m: {provisional_distances:?}"
         );
+    }
+
+    /// The indicator the stream used to evaluate per sample: the batch
+    /// definition over a `lag + V + 1` tail of the ring `[base, t]`, last
+    /// value, minimum across antennas; `None` while the ring holds no
+    /// sample `lag` behind `t`.
+    fn tail_window_indicator(
+        norm: &[Vec<NormSnapshot>],
+        base: usize,
+        t: usize,
+        mcfg: MovementConfig,
+    ) -> Option<f64> {
+        let len = t + 1 - base;
+        if len <= mcfg.lag {
+            return None;
+        }
+        let tail = (mcfg.lag + mcfg.virtual_antennas + 1).min(len);
+        let last = tail - 1;
+        let ind = norm
+            .iter()
+            .map(|series| {
+                let slice = &series[t + 1 - tail..=t];
+                crate::trrs::trrs_massive(
+                    slice,
+                    slice,
+                    last,
+                    last - mcfg.lag,
+                    mcfg.virtual_antennas,
+                )
+            })
+            .fold(f64::INFINITY, f64::min);
+        Some(ind)
+    }
+
+    /// The one-term-per-sample movement indicator equals the old
+    /// tail-window evaluation bit for bit, sample by sample: through ring
+    /// trims while idle, the first `lag` samples of each epoch, and gap
+    /// splits that clear the ring mid-motion and mid-dwell.
+    #[test]
+    fn lagged_indicator_matches_tail_window_evaluation_bitwise() {
+        let fs = 100.0;
+        let sim = small_sim();
+        let geo = rim_array::ArrayGeometry::linear(3, HALF_WAVELENGTH);
+        let mut traj = dwell(Point2::new(0.0, 2.0), 0.0, 0.6, fs);
+        traj.extend(&line(
+            Point2::new(0.0, 2.0),
+            0.0,
+            1.5,
+            1.0,
+            fs,
+            OrientationMode::FollowPath,
+        ));
+        traj.extend(&dwell(Point2::new(1.5, 2.0), 0.0, 1.0, fs));
+        let dense = CsiRecorder::new(
+            &sim,
+            DeviceConfig::single_nic(geo.offsets().to_vec()),
+            RecorderConfig::default(),
+        )
+        .record(&traj)
+        .interpolated()
+        .unwrap();
+        let cfg = config(fs);
+        let mcfg = cfg.movement;
+        let gap = cfg.gap.max_gap + 3;
+        // Splits mid-dwell, mid-motion and in the closing dwell.
+        let lost = [30..30 + gap, 110..110 + gap, 200..200 + gap];
+        let norm: Vec<Vec<NormSnapshot>> = dense
+            .antennas
+            .iter()
+            .map(|a| a.iter().map(NormSnapshot::from_snapshot).collect())
+            .collect();
+        let mut stream = RimStream::new(geo, cfg).unwrap();
+        let (mut splits, mut trimmed, mut moving, mut warming) = (0, 0, 0, 0);
+        for i in 0..dense.n_samples() {
+            if lost.iter().any(|r| r.contains(&i)) {
+                continue;
+            }
+            // A split restarts the ring at the resumed sample.
+            let base = if i == stream.samples_pushed() {
+                stream.ring_base
+            } else {
+                splits += 1;
+                i
+            };
+            if base > 0 && i == stream.samples_pushed() {
+                trimmed += 1;
+            }
+            let snaps: Vec<_> = dense.antennas.iter().map(|a| Some(a[i].clone())).collect();
+            stream.ingest((i as u64, snaps)).unwrap();
+            let flag = *stream.moving.back().expect("flag pushed");
+            match tail_window_indicator(&norm, base, i, mcfg) {
+                None => {
+                    warming += 1;
+                    assert!(
+                        !flag,
+                        "sample {i}: no lagged partner yet, yet flagged moving"
+                    );
+                }
+                Some(want) => {
+                    let got = stream
+                        .lagged
+                        .iter()
+                        .map(LaggedTerms::value)
+                        .fold(f64::INFINITY, f64::min);
+                    assert_eq!(got.to_bits(), want.to_bits(), "sample {i}: {got} vs {want}");
+                    assert_eq!(flag, want < mcfg.threshold, "sample {i}");
+                    moving += usize::from(flag);
+                }
+            }
+        }
+        assert_eq!(splits, lost.len(), "every lost stretch split the stream");
+        assert!(trimmed > 0, "the idle ring was trimmed");
+        assert!(
+            moving > 20,
+            "the walk was detected ({moving} moving samples)"
+        );
+        assert!(
+            warming >= (1 + lost.len()) * mcfg.lag,
+            "each epoch warmed up"
+        );
+    }
+
+    /// The window mirror's footprint is fixed by the alignment window: an
+    /// open segment held past `max_open` grows the snapshot ring, never
+    /// the mirror — in both precisions.
+    #[test]
+    fn window_mirror_footprint_is_fixed_by_the_alignment_window() {
+        let fs = 100.0;
+        let sim = small_sim();
+        let geo = rim_array::ArrayGeometry::linear(3, HALF_WAVELENGTH);
+        let traj = line(
+            Point2::new(-3.0, 2.0),
+            0.0,
+            6.0,
+            1.0,
+            fs,
+            OrientationMode::FollowPath,
+        );
+        let dense = CsiRecorder::new(
+            &sim,
+            DeviceConfig::single_nic(geo.offsets().to_vec()),
+            RecorderConfig::default(),
+        )
+        .record(&traj)
+        .interpolated()
+        .unwrap();
+        let first = &dense.antennas[0][0];
+        let rows = first.per_tx.len() * first.per_tx[0].len();
+        for (precision, elem) in [
+            (Precision::F64Reference, std::mem::size_of::<f64>()),
+            (Precision::F32Fast, std::mem::size_of::<f32>()),
+        ] {
+            let cfg = config(fs).precision(precision);
+            let w = cfg.alignment.window;
+            let mut stream = RimStream::new(geo.clone(), cfg).unwrap();
+            let (mut max_ring, mut partial) = (0usize, false);
+            // Two planes of 2C + 1 slots per row, C = W + 1.
+            let want = geo.n_antennas() * rows * 2 * (2 * (w + 1) + 1) * elem;
+            for i in 0..dense.n_samples() {
+                let snaps: Vec<_> = dense.antennas.iter().map(|a| a[i].clone()).collect();
+                stream.ingest(snaps).unwrap();
+                let bytes = stream.cache.as_ref().expect("incremental").mirror_bytes();
+                assert_eq!(bytes, want, "{precision:?} sample {i}");
+                max_ring = max_ring.max(stream.ring_len());
+                partial |= stream.segment_continued;
+            }
+            assert!(partial, "{precision:?}: the open segment outlived max_open");
+            assert!(
+                max_ring >= stream.max_open,
+                "{precision:?}: ring reached {max_ring} samples"
+            );
+        }
     }
 
     #[test]

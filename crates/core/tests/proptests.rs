@@ -6,7 +6,7 @@ use rim_core::alignment::{base_cross_trrs_range_prec, virtual_average_with, Alig
 use rim_core::stream::{GapFilter, GapOutcome, RimStream, StreamEvent};
 use rim_core::tracking_dp::{track_peaks, DpConfig};
 use rim_core::trrs::{trrs_cfr, trrs_massive, trrs_norm, NormSnapshot};
-use rim_core::{Precision, RimConfig};
+use rim_core::{movement_indicator, MovementConfig, Precision, RimConfig};
 use rim_csi::frame::CsiSnapshot;
 use rim_dsp::complex::Complex64;
 use rim_dsp::interp::fill_gaps_complex;
@@ -185,6 +185,47 @@ proptest! {
         prop_assert_eq!(p.lags.len(), m.n_times());
         prop_assert!((0.0..=1.0).contains(&p.mean_trrs));
         prop_assert!(p.jumpiness >= 0.0);
+    }
+}
+
+/// Snapshots carrying 1–3 TX chains each, so TX counts are ragged
+/// across the series (the TRRS truncates to the common prefix).
+fn ragged_tx_series(max_len: usize, n_sc: usize) -> impl Strategy<Value = Vec<NormSnapshot>> {
+    prop::collection::vec(
+        prop::collection::vec(cfr_strategy(n_sc), 1..=3),
+        0..=max_len,
+    )
+    .prop_map(|snaps| {
+        snaps
+            .into_iter()
+            .map(|per_tx| NormSnapshot::from_snapshot(&CsiSnapshot { per_tx }))
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one-pass movement indicator is the `trrs_massive` definition,
+    /// bit for bit: series shorter than the lag, blocks clipped at both
+    /// ends, even and odd V, lag 0, and ragged TX counts.
+    #[test]
+    fn movement_indicator_matches_trrs_massive_bitwise(
+        series in ragged_tx_series(40, 6),
+        lag in 0usize..12,
+        v in 1usize..12,
+    ) {
+        let config = MovementConfig { lag, virtual_antennas: v, threshold: 0.9 };
+        let got = movement_indicator(&series, config);
+        prop_assert_eq!(got.len(), series.len());
+        for (t, g) in got.iter().enumerate() {
+            let want = if t < lag {
+                1.0
+            } else {
+                trrs_massive(&series, &series, t, t - lag, v)
+            };
+            prop_assert_eq!(g.to_bits(), want.to_bits(), "t={} lag={} v={}", t, lag, v);
+        }
     }
 }
 
