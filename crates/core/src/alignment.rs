@@ -18,6 +18,8 @@ use crate::soa::{PairKernel, SoaScalar, SoaSeries};
 use crate::trrs::{trrs_norm, trrs_norm_f32, NormSnapshot};
 use rim_par::Pool;
 use rim_simd::lanes::f64x4;
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// Parameters of alignment-matrix computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,21 +44,75 @@ impl AlignmentConfig {
     }
 }
 
-/// An alignment matrix: `values[t][k]` is the TRRS at time `t` and lag
+/// An alignment matrix: `row(t)[k]` is the TRRS at time `t` and lag
 /// `k − window` samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlignmentMatrix {
     /// Lag half-window `W`.
     pub window: usize,
-    /// `values[t][k]`, `k ∈ 0..2W+1`; entries whose `t − l` fell outside
-    /// the series are 0.
-    pub values: Vec<Vec<f64>>,
+    /// Row-major: time `t`'s `2W + 1` lags at `t·(2W + 1)..`. Entries whose
+    /// `t − l` fell outside the series are 0. The length is always a
+    /// multiple of `2W + 1`.
+    values: Vec<f64>,
 }
 
 impl AlignmentMatrix {
+    /// A matrix from its time rows.
+    ///
+    /// # Panics
+    /// Panics if a row does not hold `2·window + 1` lags.
+    pub fn from_rows(window: usize, rows: &[Vec<f64>]) -> Self {
+        assert!(
+            rows.iter().all(|row| row.len() == 2 * window + 1),
+            "a row holds one value per lag"
+        );
+        Self {
+            window,
+            values: rows.concat(),
+        }
+    }
+
+    /// A matrix of `n_times` rows built on `pool`, tiled by time: each tile
+    /// calls `fill(rows, slab)`, where `slab` is the zeroed, contiguous
+    /// part of the matrix holding those rows back to back. The matrix is
+    /// one allocation and no row is copied.
+    pub(crate) fn from_tiles<F>(window: usize, n_times: usize, pool: &Pool, fill: F) -> Self
+    where
+        F: Fn(Range<usize>, &mut [f64]) + Sync,
+    {
+        let n_lags = 2 * window + 1;
+        let mut values = vec![0.0; n_times * n_lags];
+        let tile = pool.tile_for(n_times);
+        // Tile `i` covers rows `i·tile..`, so it alone locks slab `i`.
+        let slabs: Vec<Mutex<&mut [f64]>> =
+            values.chunks_mut(tile * n_lags).map(Mutex::new).collect();
+        pool.run_tiles_sized(n_times, tile, |i, rows| {
+            let mut slab = slabs[i]
+                .lock()
+                .expect("each slab is locked by one tile, once");
+            fill(rows, &mut slab);
+        });
+        drop(slabs);
+        Self { window, values }
+    }
+
+    /// The `2W + 1` lags of time `t`.
+    ///
+    /// # Panics
+    /// Panics if `t` is not below [`Self::n_times`].
+    pub fn row(&self, t: usize) -> &[f64] {
+        let n = self.n_lags();
+        &self.values[t * n..(t + 1) * n]
+    }
+
+    /// Every time row, in order.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.values.chunks_exact(self.n_lags())
+    }
+
     /// Number of time columns.
     pub fn n_times(&self) -> usize {
-        self.values.len()
+        self.values.len() / self.n_lags()
     }
 
     /// Number of lag rows (`2W + 1`).
@@ -76,7 +132,7 @@ impl AlignmentMatrix {
 
     /// The TRRS at time `t`, signed lag `lag`.
     pub fn at(&self, t: usize, lag: isize) -> f64 {
-        self.values[t][self.index_of(lag)]
+        self.row(t)[self.index_of(lag)]
     }
 
     /// Element-wise average of several matrices (for parallel isometric
@@ -96,25 +152,18 @@ impl AlignmentMatrix {
             "matrix shapes must agree"
         );
         let inv = 1.0 / mats.len() as f64;
-        let tiles = pool.run_tiles(t, |_, rows| {
-            rows.map(|row| {
-                let mut acc = vec![0.0f64; 2 * w + 1];
+        AlignmentMatrix::from_tiles(w, t, pool, |rows, slab| {
+            for (acc, row) in slab.chunks_exact_mut(2 * w + 1).zip(rows) {
                 for m in mats {
-                    for (a, &v) in acc.iter_mut().zip(&m.values[row]) {
+                    for (a, &v) in acc.iter_mut().zip(m.row(row)) {
                         *a += v;
                     }
                 }
-                for v in &mut acc {
+                for v in acc {
                     *v *= inv;
                 }
-                acc
-            })
-            .collect::<Vec<Vec<f64>>>()
-        });
-        AlignmentMatrix {
-            window: w,
-            values: tiles.into_iter().flatten().collect(),
-        }
+            }
+        })
     }
 
     /// Median TRRS of column `t` — the column's noise floor. Ridge
@@ -122,7 +171,7 @@ impl AlignmentMatrix {
     /// cross-antenna TRRS floor varies with the environment's multipath
     /// richness.
     pub fn column_floor(&self, t: usize) -> f64 {
-        rim_dsp::stats::median(&self.values[t])
+        rim_dsp::stats::median(self.row(t))
     }
 
     /// [`Self::column_floor`] for every column at once, sharing one sort
@@ -131,8 +180,7 @@ impl AlignmentMatrix {
     /// corresponding `column_floor(t)` bit for bit.
     pub fn column_floors(&self) -> Vec<f64> {
         let mut scratch = Vec::new();
-        self.values
-            .iter()
+        self.rows()
             .map(|row| rim_dsp::stats::quantile_with(row, 0.5, &mut scratch))
             .collect()
     }
@@ -142,25 +190,12 @@ impl AlignmentMatrix {
     /// of its vertex (clamped to ±0.5 around `lag`). Falls back to the
     /// integer lag at the window edges or on degenerate curvature.
     pub fn refine_lag(&self, t: usize, lag: isize) -> f64 {
-        let w = self.window as isize;
-        if lag <= -w || lag >= w {
-            return lag as f64;
-        }
-        let g_m = self.at(t, lag - 1);
-        let g_0 = self.at(t, lag);
-        let g_p = self.at(t, lag + 1);
-        let denom = g_m - 2.0 * g_0 + g_p;
-        if denom >= -1e-12 {
-            return lag as f64; // Not a local maximum.
-        }
-        let delta = 0.5 * (g_m - g_p) / denom;
-        lag as f64 + delta.clamp(-0.5, 0.5)
+        refine_lag_in(self.row(t), lag)
     }
 
     /// Per-column maximum TRRS and its signed lag.
     pub fn column_peaks(&self) -> Vec<(isize, f64)> {
-        self.values
-            .iter()
+        self.rows()
             .map(|row| {
                 let (k, &v) = row
                     .iter()
@@ -173,7 +208,26 @@ impl AlignmentMatrix {
     }
 }
 
-/// One time column of the cross-TRRS matrix, in the scalar
+/// [`AlignmentMatrix::refine_lag`] on one time row of `2W + 1` lags.
+pub(crate) fn refine_lag_in(row: &[f64], lag: isize) -> f64 {
+    let w = (row.len() / 2) as isize;
+    if lag <= -w || lag >= w {
+        return lag as f64;
+    }
+    let at = |l: isize| row[(l + w) as usize];
+    let g_m = at(lag - 1);
+    let g_0 = at(lag);
+    let g_p = at(lag + 1);
+    let denom = g_m - 2.0 * g_0 + g_p;
+    if denom >= -1e-12 {
+        return lag as f64; // Not a local maximum.
+    }
+    let delta = 0.5 * (g_m - g_p) / denom;
+    lag as f64 + delta.clamp(-0.5, 0.5)
+}
+
+/// One time column of the cross-TRRS matrix, written into `row` (one
+/// entry per lag, so `row.len()` is `2W + 1`), in the scalar
 /// array-of-structures layout, with `norm` as the per-entry kernel
 /// ([`trrs_norm`] or [`trrs_norm_f32`]) — the bit-exact reference the
 /// SoA/SIMD path is tested against, and the fallback for shapes the SoA
@@ -188,25 +242,23 @@ impl AlignmentMatrix {
 pub(crate) fn cross_trrs_row<K>(
     a: &[NormSnapshot],
     b: &[NormSnapshot],
-    window: usize,
     t: usize,
     norm: K,
-) -> Vec<f64>
-where
+    row: &mut [f64],
+) where
     K: Fn(&NormSnapshot, &NormSnapshot) -> f64,
 {
     let src_len = b.len();
-    let w = window as isize;
-    let mut row = vec![0.0; 2 * window + 1];
+    let w = (row.len() / 2) as isize;
     for (k, slot) in row.iter_mut().enumerate() {
         let lag = k as isize - w;
         let src = t as isize - lag;
-        if src < 0 || src as usize >= src_len {
-            continue;
-        }
-        *slot = norm(&a[t], &b[src as usize]);
+        *slot = if src < 0 || src as usize >= src_len {
+            0.0
+        } else {
+            norm(&a[t], &b[src as usize])
+        };
     }
-    row
 }
 
 /// Column ranges at least this wide take the SoA/SIMD path; narrower
@@ -250,17 +302,14 @@ pub fn base_cross_trrs_range_prec(
             return m;
         }
     }
-    let tiles = pool.run_tiles(t1 - t0, |_, rows| {
-        rows.map(|row_idx| match precision {
-            Precision::F64Reference => cross_trrs_row(a, b, window, t0 + row_idx, trrs_norm),
-            Precision::F32Fast => cross_trrs_row(a, b, window, t0 + row_idx, trrs_norm_f32),
-        })
-        .collect::<Vec<Vec<f64>>>()
-    });
-    AlignmentMatrix {
-        window,
-        values: tiles.into_iter().flatten().collect(),
-    }
+    AlignmentMatrix::from_tiles(window, t1 - t0, pool, |rows, slab| {
+        for (row, r) in slab.chunks_exact_mut(2 * window + 1).zip(rows) {
+            match precision {
+                Precision::F64Reference => cross_trrs_row(a, b, t0 + r, trrs_norm, row),
+                Precision::F32Fast => cross_trrs_row(a, b, t0 + r, trrs_norm_f32, row),
+            }
+        }
+    })
 }
 
 /// The SoA/SIMD path: packs the column range of `a` and the reachable lag
@@ -281,19 +330,18 @@ fn base_cross_soa<T: SoaScalar>(
     let sb = SoaSeries::<T>::pack_range(b, b0, b1);
     // Probe usability once before fanning out.
     PairKernel::new(&sa, &sb, window, b.len())?;
-    let tiles = pool.run_tiles(t1 - t0, |_, rows| {
-        let mut kern = PairKernel::new(&sa, &sb, window, b.len()).expect("usability probed above");
-        rows.map(|r| {
-            let mut row = vec![0.0f64; 2 * window + 1];
-            kern.row_into(t0 + r, &a[t0 + r], &mut row);
-            row
-        })
-        .collect::<Vec<Vec<f64>>>()
-    });
-    Some(AlignmentMatrix {
+    Some(AlignmentMatrix::from_tiles(
         window,
-        values: tiles.into_iter().flatten().collect(),
-    })
+        t1 - t0,
+        pool,
+        |rows, slab| {
+            let mut kern =
+                PairKernel::new(&sa, &sb, window, b.len()).expect("usability probed above");
+            for (row, r) in slab.chunks_exact_mut(2 * window + 1).zip(rows) {
+                kern.row_into(t0 + r, &a[t0 + r], row);
+            }
+        },
+    ))
 }
 
 /// Applies the virtual-massive-antenna average (Eqn. 4): a centred box
@@ -322,7 +370,7 @@ pub fn virtual_average_with(base: &AlignmentMatrix, v: usize, pool: &Pool) -> Al
         let mut prefix4 = vec![f64x4::ZERO; t_len + 1];
         while k + 4 <= lags.end {
             for t in 0..t_len {
-                prefix4[t + 1] = prefix4[t] + f64x4::from_slice(&base.values[t][k..]);
+                prefix4[t + 1] = prefix4[t] + f64x4::from_slice(&base.row(t)[k..]);
             }
             let mut cols = [(); 4].map(|_| vec![0.0f64; t_len]);
             for t in 0..t_len {
@@ -340,7 +388,7 @@ pub fn virtual_average_with(base: &AlignmentMatrix, v: usize, pool: &Pool) -> Al
         for k in k..lags.end {
             prefix[0] = 0.0;
             for t in 0..t_len {
-                prefix[t + 1] = prefix[t] + base.values[t][k];
+                prefix[t + 1] = prefix[t] + base.row(t)[k];
             }
             let mut col = vec![0.0f64; t_len];
             for (t, slot) in col.iter_mut().enumerate() {
@@ -352,10 +400,10 @@ pub fn virtual_average_with(base: &AlignmentMatrix, v: usize, pool: &Pool) -> Al
         }
         out
     });
-    let mut values = vec![vec![0.0; n_lags]; t_len];
+    let mut values = vec![0.0; t_len * n_lags];
     for (k, col) in tiles.into_iter().flatten().enumerate() {
         for (t, x) in col.into_iter().enumerate() {
-            values[t][k] = x;
+            values[t * n_lags + k] = x;
         }
     }
     AlignmentMatrix {
@@ -461,10 +509,7 @@ mod tests {
 
     #[test]
     fn lag_index_round_trip() {
-        let m = AlignmentMatrix {
-            window: 5,
-            values: vec![vec![0.0; 11]; 3],
-        };
+        let m = AlignmentMatrix::from_rows(5, &vec![vec![0.0; 11]; 3]);
         for lag in -5..=5 {
             assert_eq!(m.lag_of(m.index_of(lag)), lag);
         }
@@ -514,7 +559,7 @@ mod tests {
         let avg = AlignmentMatrix::average_with(&[&m, &m, &m], &Pool::serial());
         for t in 0..m.n_times() {
             for k in 0..m.n_lags() {
-                assert!((avg.values[t][k] - m.values[t][k]).abs() < 1e-12);
+                assert!((avg.row(t)[k] - m.row(t)[k]).abs() < 1e-12);
             }
         }
     }
@@ -532,7 +577,7 @@ mod tests {
             let g = virtual_average_with(&base, 7, &pool);
             let avg = AlignmentMatrix::average_with(&[&base, &g], &pool);
             for (x, y) in [(&base, &serial), (&g, &g_serial), (&avg, &avg_serial)] {
-                for (rx, ry) in x.values.iter().zip(&y.values) {
+                for (rx, ry) in x.rows().zip(y.rows()) {
                     for (vx, vy) in rx.iter().zip(ry) {
                         assert_eq!(vx.to_bits(), vy.to_bits(), "threads={threads}");
                     }
@@ -582,7 +627,7 @@ mod tests {
         for t in 0..40 {
             let narrow =
                 base_cross_trrs_range_prec(&a, &b, w, (t, t + 1), &pool, Precision::F64Reference);
-            for (x, y) in wide.values[t].iter().zip(&narrow.values[0]) {
+            for (x, y) in wide.row(t).iter().zip(narrow.row(0)) {
                 assert_eq!(x.to_bits(), y.to_bits(), "t={t}");
             }
         }
@@ -597,11 +642,12 @@ mod tests {
         let reference =
             base_cross_trrs_range_prec(&a, &b, w, (0, 32), &pool, Precision::F64Reference);
         for t in 0..32 {
-            let scalar = cross_trrs_row(&a, &b, w, t, trrs_norm_f32);
-            for (k, (x, y)) in fast.values[t].iter().zip(&scalar).enumerate() {
+            let mut scalar = vec![f64::NAN; 2 * w + 1];
+            cross_trrs_row(&a, &b, t, trrs_norm_f32, &mut scalar);
+            for (k, (x, y)) in fast.row(t).iter().zip(&scalar).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "t={t} k={k}");
             }
-            for (x, y) in fast.values[t].iter().zip(&reference.values[t]) {
+            for (x, y) in fast.row(t).iter().zip(reference.row(t)) {
                 assert!((x - y).abs() < 1e-4, "f32 drift at t={t}: {x} vs {y}");
             }
         }

@@ -31,7 +31,7 @@ pub fn render_matrix(m: &AlignmentMatrix, max_cols: usize, max_rows: usize) -> S
     let prominence: Vec<Vec<f64>> = (0..t_len)
         .map(|t| {
             let floor = m.column_floor(t);
-            m.values[t].iter().map(|&v| (v - floor).max(0.0)).collect()
+            m.row(t).iter().map(|&v| (v - floor).max(0.0)).collect()
         })
         .collect();
     let mut hi = f64::NEG_INFINITY;
@@ -148,10 +148,7 @@ mod tests {
 
     fn ridge_matrix() -> AlignmentMatrix {
         // Ridge at lag +1 (index 3, W = 2).
-        AlignmentMatrix {
-            window: 2,
-            values: (0..30).map(|_| vec![0.1, 0.2, 0.3, 0.9, 0.2]).collect(),
-        }
+        AlignmentMatrix::from_rows(2, &vec![vec![0.1, 0.2, 0.3, 0.9, 0.2]; 30])
     }
 
     #[test]
@@ -175,10 +172,7 @@ mod tests {
 
     #[test]
     fn heatmap_handles_empty_and_downsampling() {
-        let empty = AlignmentMatrix {
-            window: 1,
-            values: vec![],
-        };
+        let empty = AlignmentMatrix::from_rows(1, &[]);
         assert!(render_matrix(&empty, 10, 5).contains("empty"));
         // Wide matrix downsampled to ≤ 8 columns.
         let m = ridge_matrix();

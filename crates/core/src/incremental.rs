@@ -26,7 +26,7 @@
 //!   approximate by design (no smoothing, no gap bridging, no rotation
 //!   handling); only the final flush is bit-identical to batch.
 
-use crate::alignment::AlignmentMatrix;
+use crate::alignment::{refine_lag_in, AlignmentMatrix};
 use crate::pipeline::{Confidence, Precision, RimConfig};
 use crate::reckoning::{heading_from_frac_lag, speed_from_frac_lag};
 use crate::soa::{SoaScalar, SoaWindow};
@@ -291,11 +291,10 @@ impl ColumnCache {
         let cols = &self.cols[p];
         assert!(t0 <= t1 && t1 <= cols.len(), "column range out of bounds");
         let w = self.window as isize;
-        let tiles = pool.run_tiles(t1 - t0, |_, rows| {
-            rows.map(|r| {
+        AlignmentMatrix::from_tiles(self.window, t1 - t0, pool, |rows, slab| {
+            for (row, r) in slab.chunks_exact_mut(2 * self.window + 1).zip(rows) {
                 let t = t0 + r;
                 let stored = &cols[t];
-                let mut row = vec![0.0f64; 2 * self.window + 1];
                 for (k, slot) in row.iter_mut().enumerate() {
                     let lag = k as isize - w;
                     let src = t as isize - lag;
@@ -304,14 +303,8 @@ impl ColumnCache {
                     }
                     *slot = stored[k];
                 }
-                row
-            })
-            .collect::<Vec<Vec<f64>>>()
-        });
-        AlignmentMatrix {
-            window: self.window,
-            values: tiles.into_iter().flatten().collect(),
-        }
+            }
+        })
     }
 
     /// Masked maximum of one cached column — what the pre-detection
@@ -395,8 +388,9 @@ struct GroupTrack {
     raw_lo: usize,
     /// Rolling box-filter sum over the current raw window.
     sum: Vec<f64>,
-    /// Finalised V-averaged columns from the chunk start.
-    avg: AlignmentMatrix,
+    /// Finalised V-averaged columns from the chunk start, one `2W + 1`
+    /// lag row each.
+    avg: Vec<Vec<f64>>,
     /// Per-column noise floor (median), precomputed at finalisation.
     floors: Vec<f64>,
     /// DP forward-pass score of the latest column.
@@ -412,7 +406,7 @@ impl GroupTrack {
         self.raw.clear();
         self.raw_lo = start;
         self.sum.fill(0.0);
-        self.avg.values.clear();
+        self.avg.clear();
         self.floors.clear();
         self.score.clear();
         self.parents.clear();
@@ -479,10 +473,7 @@ impl ProvisionalTracker {
                     raw: VecDeque::new(),
                     raw_lo: start,
                     sum: vec![0.0; n_lags],
-                    avg: AlignmentMatrix {
-                        window: config.alignment.window,
-                        values: Vec::new(),
-                    },
+                    avg: Vec::new(),
                     floors: Vec::new(),
                     score: Vec::new(),
                     parents: Vec::new(),
@@ -536,7 +527,7 @@ impl ProvisionalTracker {
         if self.cadence == 0 || self.since_emit < self.cadence {
             return None;
         }
-        let have_columns = self.groups.first().is_some_and(|g| g.avg.n_times() > 0);
+        let have_columns = self.groups.first().is_some_and(|g| !g.avg.is_empty());
         if !have_columns && !self.continued {
             // Nothing tracked yet; hold the cadence until columns exist.
             return None;
@@ -604,7 +595,7 @@ impl ProvisionalTracker {
                             &mut g.best_parent,
                         ));
                     }
-                    g.avg.values.push(col);
+                    g.avg.push(col);
                     while g.raw_lo < lo {
                         g.raw.pop_front();
                         g.raw_lo += 1;
@@ -628,7 +619,7 @@ impl ProvisionalTracker {
         let mut best: Option<GroupEstimate> = None;
         let mut cols_seen = 0usize;
         for g in &self.groups {
-            let cols = g.avg.n_times();
+            let cols = g.avg.len();
             cols_seen = cols_seen.max(cols);
             if cols == 0 {
                 continue;
@@ -657,7 +648,7 @@ impl ProvisionalTracker {
             let (mut sx, mut sy) = (0.0f64, 0.0f64);
             for (i, &ki) in ks.iter().enumerate() {
                 let lag = ki as isize - w;
-                let quality = g.avg.values[i][ki] - g.floors[i];
+                let quality = g.avg[i][ki] - g.floors[i];
                 if quality < self.min_prominence {
                     continue;
                 }
@@ -668,7 +659,7 @@ impl ProvisionalTracker {
                     continue;
                 }
                 let refined = if self.subsample {
-                    g.avg.refine_lag(i, lag)
+                    refine_lag_in(&g.avg[i], lag)
                 } else {
                     lag as f64
                 };
@@ -792,7 +783,7 @@ mod tests {
         let batch = batch_base(&a, &b, window, (3, len - 2), &pool);
         let cached = cache.base_matrix_with(p, 3, len - 2, len, &pool);
         assert_eq!(batch.window, cached.window);
-        for (rb, rc) in batch.values.iter().zip(&cached.values) {
+        for (rb, rc) in batch.rows().zip(cached.rows()) {
             for (vb, vc) in rb.iter().zip(rc) {
                 assert_eq!(vb.to_bits(), vc.to_bits());
             }
@@ -800,7 +791,7 @@ mod tests {
         // The strided pre-detection probe fold, too.
         for t in 0..len {
             let m = batch_base(&a, &b, window, (t, t + 1), &pool);
-            let direct = m.values[0].iter().cloned().fold(0.0f64, f64::max);
+            let direct = m.row(0).iter().cloned().fold(0.0f64, f64::max);
             assert_eq!(direct.to_bits(), cache.column_max(p, t, len).to_bits());
         }
         // Threaded materialisation is bit-identical as well.

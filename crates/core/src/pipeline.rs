@@ -974,7 +974,7 @@ impl Rim {
                                 &Pool::serial(),
                                 self.config.precision,
                             );
-                            m.values[0].iter().cloned().fold(0.0f64, f64::max)
+                            m.row(0).iter().cloned().fold(0.0f64, f64::max)
                         }
                     };
                     maxima.push(col_max);

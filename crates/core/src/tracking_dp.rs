@@ -116,12 +116,12 @@ pub fn track_peaks(m: &AlignmentMatrix, config: DpConfig) -> TrackedPath {
     let n_lags = m.n_lags();
     let c = dp_jump_cost(config.omega, m.window);
 
-    let mut score: Vec<f64> = m.values[0].clone();
+    let mut score: Vec<f64> = m.row(0).to_vec();
     let mut parents: Vec<Vec<u32>> = Vec::with_capacity(steps.saturating_sub(1));
     let mut best_prev = vec![0.0f64; n_lags];
     let mut best_parent = vec![0u32; n_lags];
 
-    for row in &m.values[1..] {
+    for row in m.rows().skip(1) {
         parents.push(dp_advance_column(
             &mut score,
             row,
@@ -182,7 +182,7 @@ fn track_exhaustive(m: &AlignmentMatrix, config: DpConfig) -> (Vec<isize>, f64) 
             let score: f64 = path
                 .iter()
                 .enumerate()
-                .map(|(i, &l)| m.values[i][l])
+                .map(|(i, &l)| m.row(i)[l])
                 .sum::<f64>()
                 - path
                     .windows(2)
@@ -210,11 +210,7 @@ mod tests {
     use super::*;
 
     fn matrix(window: usize, rows: Vec<Vec<f64>>) -> AlignmentMatrix {
-        assert!(rows.iter().all(|r| r.len() == 2 * window + 1));
-        AlignmentMatrix {
-            window,
-            values: rows,
-        }
+        AlignmentMatrix::from_rows(window, &rows)
     }
 
     #[test]

@@ -91,13 +91,13 @@ proptest! {
         b in snapshot_series(16, 8),
     ) {
         let m = base_matrix(&a, &b, 4, &Pool::serial());
-        for row in &m.values {
+        for row in m.rows() {
             for &v in row {
                 prop_assert!((0.0..=1.0 + 1e-9).contains(&v));
             }
         }
         let g = virtual_average_with(&m, 5, &Pool::serial());
-        for row in &g.values {
+        for row in g.rows() {
             for &v in row {
                 prop_assert!((0.0..=1.0 + 1e-9).contains(&v));
             }
@@ -121,8 +121,8 @@ proptest! {
             let avg_p = virtual_average_with(&base_p, v, &pool);
             for (x, y) in [(&base_p, &base), (&avg_p, &avg)] {
                 prop_assert_eq!(x.window, y.window);
-                prop_assert_eq!(x.values.len(), y.values.len());
-                for (rx, ry) in x.values.iter().zip(&y.values) {
+                prop_assert_eq!(x.n_times(), y.n_times());
+                for (rx, ry) in x.rows().zip(y.rows()) {
                     for (vx, vy) in rx.iter().zip(ry) {
                         prop_assert_eq!(vx.to_bits(), vy.to_bits(),
                             "threads={} differs from serial", threads);
@@ -143,7 +143,7 @@ proptest! {
         for threads in [2usize, 4, 8] {
             let pool = Pool::new(threads, 2);
             let par = AlignmentMatrix::average_with(&[&m1, &m2], &pool);
-            for (rx, ry) in par.values.iter().zip(&serial.values) {
+            for (rx, ry) in par.rows().zip(serial.rows()) {
                 for (vx, vy) in rx.iter().zip(ry) {
                     prop_assert_eq!(vx.to_bits(), vy.to_bits());
                 }
@@ -158,7 +158,7 @@ proptest! {
             3..10,
         ),
     ) {
-        let m = AlignmentMatrix { window: 3, values: rows.clone() };
+        let m = AlignmentMatrix::from_rows(3, &rows);
         let path = track_peaks(&m, DpConfig::default());
         // The optimal path must score at least any fixed-lag path (which
         // incurs zero transition cost).
@@ -180,7 +180,7 @@ proptest! {
             2..8,
         ),
     ) {
-        let m = AlignmentMatrix { window: 2, values: rows };
+        let m = AlignmentMatrix::from_rows(2, &rows);
         let p = track_peaks(&m, DpConfig::default());
         prop_assert_eq!(p.lags.len(), m.n_times());
         prop_assert!((0.0..=1.0).contains(&p.mean_trrs));

@@ -190,7 +190,9 @@ impl CsiRecording {
 
     /// Repairs packet loss by per-subcarrier linear interpolation (paper
     /// §5/§7), producing a gap-free series. Returns `None` if any antenna
-    /// lost *every* packet.
+    /// lost *every* packet, or if the series is ragged: an antenna with
+    /// another sample count than the first, or a snapshot whose TX count
+    /// or CFR lengths differ from its antenna's first present snapshot's.
     pub fn interpolated(&self) -> Option<DenseCsi> {
         let n_samples = self.n_samples();
         let mut antennas = Vec::with_capacity(self.antennas.len());
@@ -199,6 +201,13 @@ impl CsiRecording {
             let proto = series.iter().flatten().next()?;
             let n_tx = proto.n_tx();
             let n_sc = proto.n_subcarriers();
+            let rectangular = series.len() == n_samples
+                && series.iter().flatten().all(|snap| {
+                    snap.per_tx.len() == n_tx && snap.per_tx.iter().all(|cfr| cfr.len() == n_sc)
+                });
+            if !rectangular {
+                return None;
+            }
             let mut dense: Vec<CsiSnapshot> = (0..n_samples)
                 .map(|_| CsiSnapshot {
                     per_tx: vec![vec![rim_dsp::complex::ZERO; n_sc]; n_tx],

@@ -96,6 +96,15 @@ pub fn save_recording<W: Write>(rec: &CsiRecording, mut w: W) -> io::Result<()> 
 }
 
 /// Loads a recording from a reader.
+///
+/// # Errors
+/// [`LoadError::Io`] when reading fails, [`LoadError::Frame`] when a frame
+/// block does not decode, and [`LoadError::Corrupt`] for any structural
+/// fault: a bad header, a truncation, a presence bitmap that disagrees
+/// with its frame, or a ragged series (a CFR whose length differs from
+/// the header's subcarrier count, or a snapshot whose TX count differs
+/// from the first present snapshot's). A loaded recording is therefore
+/// rectangular, so [`CsiRecording::interpolated`] can index it.
 pub fn load_recording<R: Read>(mut r: R) -> Result<CsiRecording, LoadError> {
     let mut buf = Vec::new();
     r.read_to_end(&mut buf)?;
@@ -127,7 +136,11 @@ pub fn load_recording<R: Read>(mut r: R) -> Result<CsiRecording, LoadError> {
         subcarrier_indices.push(cur.get_i32());
     }
 
-    let mut antennas: Vec<Vec<Option<CsiSnapshot>>> = vec![Vec::with_capacity(n_samples); n_ant];
+    // Every sample takes at least its bitmap and block length, so the
+    // bytes left bound the presize, whatever the header claims.
+    let backed = n_samples.min(cur.remaining() / (n_ant + 4));
+    let mut antennas: Vec<Vec<Option<CsiSnapshot>>> = vec![Vec::with_capacity(backed); n_ant];
+    let mut n_tx = None;
     for _ in 0..n_samples {
         if cur.remaining() < n_ant + 4 {
             return Err(LoadError::Corrupt("truncated sample"));
@@ -148,6 +161,16 @@ pub fn load_recording<R: Read>(mut r: R) -> Result<CsiRecording, LoadError> {
                 let snap = it
                     .next()
                     .ok_or(LoadError::Corrupt("bitmap/frame mismatch"))?;
+                if snap.per_tx.iter().any(|cfr| cfr.len() != n_sc) {
+                    return Err(LoadError::Corrupt(
+                        "CFR length differs from the subcarrier count",
+                    ));
+                }
+                if *n_tx.get_or_insert(snap.n_tx()) != snap.n_tx() {
+                    return Err(LoadError::Corrupt(
+                        "TX count differs from the first snapshot's",
+                    ));
+                }
                 antennas[a].push(Some(snap));
             } else {
                 antennas[a].push(None);
@@ -211,6 +234,57 @@ mod tests {
         for cut in [3usize, 10, buf.len() - 2] {
             assert!(load_recording(&buf[..cut]).is_err(), "cut {cut}");
         }
+    }
+
+    /// A capture whose third snapshot has one TX while the first has two:
+    /// loading it used to succeed and `interpolated` then panicked
+    /// indexing the missing TX.
+    #[test]
+    fn ragged_capture_is_a_typed_error() {
+        let snap = |n_tx: usize, n_sc: usize| CsiSnapshot {
+            per_tx: vec![vec![Complex64::new(1.0, -1.0); n_sc]; n_tx],
+        };
+        let ragged_tx = CsiRecording {
+            sample_rate_hz: 100.0,
+            subcarrier_indices: vec![-1, 1, 2],
+            antennas: vec![vec![Some(snap(2, 3)), Some(snap(2, 3)), Some(snap(1, 3))]],
+        };
+        assert!(ragged_tx.interpolated().is_none(), "ragged TX count");
+        let mut buf = Vec::new();
+        save_recording(&ragged_tx, &mut buf).unwrap();
+        assert!(matches!(
+            load_recording(&buf[..]),
+            Err(LoadError::Corrupt(what)) if what.contains("TX count")
+        ));
+        // A CFR shorter than the header's subcarrier table, even when
+        // every snapshot agrees with every other.
+        let short = CsiRecording {
+            sample_rate_hz: 100.0,
+            subcarrier_indices: vec![-1, 1, 2],
+            antennas: vec![vec![Some(snap(2, 2)); 3]],
+        };
+        let mut buf = Vec::new();
+        save_recording(&short, &mut buf).unwrap();
+        assert!(matches!(
+            load_recording(&buf[..]),
+            Err(LoadError::Corrupt(what)) if what.contains("CFR length")
+        ));
+        // One short CFR within a snapshot, in memory.
+        let mut uneven = snap(2, 3);
+        uneven.per_tx[1].pop();
+        let ragged_sc = CsiRecording {
+            sample_rate_hz: 100.0,
+            subcarrier_indices: vec![-1, 1, 2],
+            antennas: vec![vec![Some(snap(2, 3)), None, Some(uneven)]],
+        };
+        assert!(ragged_sc.interpolated().is_none(), "ragged CFR length");
+        // Antennas with different sample counts, in memory.
+        let uneven_len = CsiRecording {
+            sample_rate_hz: 100.0,
+            subcarrier_indices: vec![-1, 1, 2],
+            antennas: vec![vec![Some(snap(2, 3)); 2], vec![Some(snap(2, 3)); 3]],
+        };
+        assert!(uneven_len.interpolated().is_none(), "ragged sample count");
     }
 
     #[test]

@@ -3,14 +3,18 @@
 //! The frame decoder is fuzzed with hostile input: arbitrary bytes, every
 //! truncation of a valid frame, and hostile dimension counts must all
 //! come back as a typed [`DecodeError`] — never a panic, and never an
-//! allocation sized from a count the bytes cannot back. Allocation sizes
-//! are observed with a counting global allocator that records, per
-//! thread, the largest single request while a decode runs.
+//! allocation sized from a count the bytes cannot back. The capture
+//! reader gets the same treatment, with ragged shapes (snapshots whose TX
+//! count or CFR length disagree) among its inputs. Allocation sizes are
+//! observed with a counting global allocator that records, per thread,
+//! the largest single request while a decode runs.
 
 use proptest::prelude::*;
 use rim_channel::SubcarrierLayout;
 use rim_csi::frame::{CsiFrame, CsiSnapshot, DecodeError};
+use rim_csi::recorder::CsiRecording;
 use rim_csi::sanitize::{sanitize_matched_delay, unwrap_phase};
+use rim_csi::storage::{load_recording, save_recording, LoadError};
 use rim_dsp::complex::{Complex64, ZERO};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -69,6 +73,23 @@ fn decode_bounded(bytes: &[u8]) -> Result<CsiFrame, DecodeError> {
     assert!(
         largest <= bound,
         "allocated {largest} B in one request for {} B of input (bound {bound} B)",
+        bytes.len()
+    );
+    out
+}
+
+/// Loads a capture, asserting the same presize bound as
+/// [`decode_bounded`]: no single allocation beyond 8× the input plus a
+/// small fixed slack, whatever sample or antenna counts the header claims.
+fn load_bounded(bytes: &[u8]) -> Result<CsiRecording, LoadError> {
+    const SLACK: usize = 4096;
+    LARGEST.with(|m| m.set(0));
+    let out = load_recording(bytes);
+    let largest = LARGEST.with(Cell::get);
+    let bound = 8 * bytes.len() + SLACK;
+    assert!(
+        largest <= bound,
+        "allocated {largest} B in one request for {} B of capture (bound {bound} B)",
         bytes.len()
     );
     out
@@ -208,8 +229,80 @@ fn snapshot_strategy() -> impl Strategy<Value = CsiSnapshot> {
     .prop_map(|per_tx| CsiSnapshot { per_tx })
 }
 
+/// A capture of `shapes[antenna][sample]`: `None` is a lost packet,
+/// `Some((n_tx, sc_delta))` a snapshot of `n_tx` CFRs of
+/// `n_sc + sc_delta` entries. The header always claims `n_sc`.
+fn shaped_recording(n_sc: usize, shapes: &[Vec<Option<(usize, usize)>>]) -> CsiRecording {
+    let n_samples = shapes.iter().map(Vec::len).min().unwrap_or(0);
+    CsiRecording {
+        sample_rate_hz: 100.0,
+        subcarrier_indices: (0..n_sc as i32).collect(),
+        antennas: shapes
+            .iter()
+            .map(|series| {
+                series[..n_samples]
+                    .iter()
+                    .map(|shape| {
+                        shape.map(|(n_tx, sc_delta)| CsiSnapshot {
+                            per_tx: vec![vec![Complex64::new(0.5, -0.25); n_sc + sc_delta]; n_tx],
+                        })
+                    })
+                    .collect()
+            })
+            .collect(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Captures of every shape, ragged ones included, then corrupted by
+    /// byte flips or a truncation: loading returns a recording or a typed
+    /// error, never a panic. A rectangular capture loads and interpolates;
+    /// a ragged one is `Corrupt`; whatever loads interpolates without
+    /// panicking.
+    #[test]
+    fn capture_reader_types_ragged_and_corrupt_files(
+        n_sc in 1usize..5,
+        shapes in prop::collection::vec(
+            prop::collection::vec(
+                prop::option::weighted(0.8, (prop::sample::select(vec![0usize, 1, 2, 2, 2]), prop::sample::select(vec![0usize, 0, 0, 1]))),
+                1..5,
+            ),
+            1..3,
+        ),
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..3),
+        cut in prop::option::weighted(0.3, any::<usize>()),
+    ) {
+        let rec = shaped_recording(n_sc, &shapes);
+        let mut bytes = Vec::new();
+        save_recording(&rec, &mut bytes).unwrap();
+        let present = || rec.antennas.iter().flatten().flatten();
+        let first_tx = present().next().map(CsiSnapshot::n_tx);
+        let rectangular = present()
+            .all(|s| Some(s.n_tx()) == first_tx && s.per_tx.iter().all(|c| c.len() == n_sc));
+        match load_bounded(&bytes) {
+            Ok(loaded) => {
+                prop_assert!(rectangular, "a ragged capture loaded");
+                let every_antenna_heard = loaded.antennas.iter().all(|s| s.iter().any(Option::is_some));
+                prop_assert_eq!(loaded.interpolated().is_some(), every_antenna_heard);
+            }
+            Err(e) => {
+                prop_assert!(!rectangular, "a rectangular capture failed: {e}");
+                prop_assert!(matches!(e, LoadError::Corrupt(_)), "{e}");
+            }
+        }
+        for &(at, byte) in &flips {
+            let at = at % bytes.len();
+            bytes[at] ^= byte;
+        }
+        if let Some(cut) = cut {
+            bytes.truncate(cut % (bytes.len() + 1));
+        }
+        if let Ok(loaded) = load_bounded(&bytes) {
+            let _ = loaded.interpolated();
+        }
+    }
 
     #[test]
     fn frame_wire_round_trip(
@@ -368,6 +461,38 @@ proptest! {
     }
 
     #[test]
+    fn matched_delay_matches_direct_on_hostile_numerics(
+        layout in 0usize..3,
+        taps in taps_strategy(),
+        noise in noise_strategy(),
+        poison in prop::sample::select(vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e160, 1e-160]),
+        at in prop::collection::vec((0usize..256, any::<bool>()), 1..4),
+        everywhere in any::<bool>(),
+    ) {
+        // NaN and ±∞ entries, or every entry scaled to |h| ~ 1e160 (whose
+        // squared sum overflows) or 1e-160 (whose squares underflow):
+        // the screen's bound turns NaN, infinite or absolute, and the
+        // result must still be the exhaustive scan's, bit for bit.
+        let indices = &wifi_layouts()[layout];
+        let mut cfr = multipath_cfr(indices, &taps, &noise);
+        if everywhere && poison.is_finite() {
+            for h in &mut cfr {
+                *h = h.scale(poison);
+            }
+        } else {
+            for &(k, imaginary) in &at {
+                let h = &mut cfr[k % indices.len()];
+                if imaginary {
+                    h.im = poison;
+                } else {
+                    h.re = poison;
+                }
+            }
+        }
+        assert_matches_reference(&cfr, indices);
+    }
+
+    #[test]
     fn sanitation_preserves_magnitudes(
         cfr in prop::collection::vec(
             (0.01f64..10.0, -3.1f64..3.1).prop_map(|(r, p)| Complex64::from_polar(r, p)),
@@ -456,4 +581,47 @@ fn maximal_counts_in_a_tiny_frame_are_a_truncation() {
     bytes.extend_from_slice(&4096u32.to_be_bytes());
     assert_eq!(bytes.len(), 28);
     assert_eq!(decode_bounded(&bytes), Err(DecodeError::Truncated));
+}
+
+/// FNV-1a 64 over the bits of every sanitized value of a fixed seeded
+/// CFR set: 24 multipath CFRs on each of HT20, HT40, VHT80 and the Intel
+/// 5300 grid. The digest was computed with the exhaustive coarse scan
+/// that the screened search replaced; any bit that moves changes it.
+#[test]
+fn matched_delay_golden_digest() {
+    const GOLDEN: u64 = 0x22f5_2756_bc86_bf90;
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        // splitmix64, mapped to [−1, 1).
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    };
+    let mut grids = wifi_layouts().to_vec();
+    grids.push(SubcarrierLayout::intel5300_ht40().indices);
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    for indices in &grids {
+        for _ in 0..24 {
+            let taps: Vec<(f64, f64, f64)> = (0..4)
+                .map(|_| (1.0 + next(), 0.6 * next(), 3.1 * next()))
+                .collect();
+            let noise: Vec<(f64, f64)> = (0..16).map(|_| (0.2 * next(), 0.2 * next())).collect();
+            let mut cfr = multipath_cfr(indices, &taps, &noise);
+            sanitize_matched_delay(&mut cfr, indices);
+            for h in &cfr {
+                for bits in [h.re.to_bits(), h.im.to_bits()] {
+                    for byte in bits.to_le_bytes() {
+                        digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        digest, GOLDEN,
+        "sanitized output drifted: digest {digest:#018x}"
+    );
 }

@@ -93,7 +93,8 @@ fn assert_tier_and_thread_invariant(a: &[NormSnapshot], b: &[NormSnapshot], wind
     let t_len = a.len();
     let matrix = |tier, pool: &Pool, precision| {
         force_tier(Some(tier));
-        base_cross_trrs_range_prec(a, b, window, (0, t_len), pool, precision).values
+        let m = base_cross_trrs_range_prec(a, b, window, (0, t_len), pool, precision);
+        m.rows().map(<[f64]>::to_vec).collect::<Vec<_>>()
     };
     let assert_same = |x: &[Vec<f64>], y: &[Vec<f64>], what: &str| {
         for (t, (rx, ry)) in x.iter().zip(y).enumerate() {
