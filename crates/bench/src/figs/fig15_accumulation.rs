@@ -1,7 +1,7 @@
 //! Fig. 15 — impact of accumulative distance.
 //!
 //! Paper: over 10 m traces the median error per travelled metre stays in
-//! the 3–14 cm band and "do[es] not considerably accumulate over long
+//! the 3–14 cm band and "do\[es\] not considerably accumulate over long
 //! distances" — speed estimation does not drift.
 
 use crate::env::{self, linear_array};

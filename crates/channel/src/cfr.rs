@@ -62,7 +62,7 @@ impl SubcarrierLayout {
     }
 
     /// Intel 5300 grouped CSI on HT40: 30 subcarriers, every fourth index
-    /// from −58 to +58 — the layout of the 802.11 CSI Tool [10].
+    /// from −58 to +58 — the layout of the 802.11 CSI Tool \[10\].
     pub fn intel5300_ht40() -> Self {
         let indices: Vec<i32> = (0..30).map(|k| -58 + 4 * k).collect();
         Self {

@@ -1,7 +1,7 @@
 //! Point scatterer fields.
 //!
 //! Indoor channels at 5 GHz contain tens of significant multipath
-//! components arriving from diverse directions (paper §6.2.8 cites [8]).
+//! components arriving from diverse directions (paper §6.2.8 cites \[8\]).
 //! Beyond the specular wall reflections handled by the image method, we
 //! model the diffuse part as a field of point scatterers (furniture,
 //! shelves, people at rest), each re-radiating with a fixed complex gain.

@@ -446,7 +446,7 @@ pub struct Gait {
     pub surge: f64,
 }
 
-/// Gait-modulated straight walk: like [`line`] but the speed surges and
+/// Gait-modulated straight walk: like [`line()`] but the speed surges and
 /// eases once per step — the push-off/heel-strike cadence of a walking
 /// or running human. A higher speed/surge with a longer step models
 /// running; the surge transients are what a body-worn IMU actually

@@ -720,8 +720,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
         let config = RimConfig::for_sample_rate(rate)
             .with_min_speed(min_speed, HALF_WAVELENGTH, rate)
             .with_threads(threads)
-            .precision(precision)
-            .with_trace_sampling(trace_every);
+            .precision(precision);
         let manager = std::sync::Arc::new(
             rim_serve::SessionManager::new(geometry, config, serve_cfg)
                 .map_err(|e| e.to_string())?,
@@ -770,8 +769,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
     let config = RimConfig::for_sample_rate(fs)
         .with_min_speed(min_speed, HALF_WAVELENGTH, fs)
         .with_threads(threads)
-        .precision(precision)
-        .with_trace_sampling(trace_every);
+        .precision(precision);
     let (fuser, imu_samples) = match imu_shared {
         Some((fuser, samples)) => (fuser, std::sync::Arc::new(samples)),
         None => (
@@ -1015,7 +1013,7 @@ pub fn demo(args: &Args) -> Result<(), String> {
     let dense = recording
         .interpolated()
         .ok_or("recording not interpolable")?;
-    let config = RimConfig::for_sample_rate(200.0).with_min_speed(0.3, HALF_WAVELENGTH, 200.0);
+    let config = RimConfig::for_sample_rate(200.0);
     let rim = Rim::new(geometry, config).map_err(|e| e.to_string())?;
     let est = if obs.is_some() {
         rim.session().probe(&recorder).analyze(&dense)
@@ -1256,7 +1254,7 @@ mod tests {
         .record_probed(&traj, &recorder)
         .interpolated()
         .unwrap();
-        let config = RimConfig::for_sample_rate(200.0).with_min_speed(0.3, HALF_WAVELENGTH, 200.0);
+        let config = RimConfig::for_sample_rate(200.0);
         Rim::new(geometry, config)
             .unwrap()
             .session()

@@ -16,6 +16,7 @@
 use crate::pipeline::Precision;
 use crate::soa::{PairKernel, SoaScalar, SoaSeries};
 use crate::trrs::{trrs_norm, trrs_norm_f32, NormSnapshot};
+use rim_array::HALF_WAVELENGTH;
 use rim_par::Pool;
 use rim_simd::lanes::f64x4;
 use std::ops::Range;
@@ -31,14 +32,26 @@ pub struct AlignmentConfig {
     pub virtual_antennas: usize,
 }
 
+/// Slowest speed the default lag window covers, m/s. §3.2 sizes `W` by
+/// the slowest motion of interest — "a larger window … is not needed";
+/// slower motion finds no alignment inside the window.
+const MIN_SPEED: f64 = 0.3;
+
+/// Lag half-window `W` that covers speeds down to `min_speed` m/s for an
+/// antenna separation `sep` m: the delay `sep / min_speed` in samples,
+/// rounded up, and at least 4.
+pub(crate) fn lag_window(min_speed: f64, sep: f64, sample_rate_hz: f64) -> usize {
+    ((sep / min_speed * sample_rate_hz).ceil() as usize).max(4)
+}
+
 impl AlignmentConfig {
-    /// Paper-style defaults for a given sample rate: `W` sized for delays
-    /// up to 0.5 s (§3.2 "within a short period (e.g., 0.5 seconds)") and
-    /// `V` per §6.2.7 ("a number larger than 30 should suffice for … 200
-    /// Hz", scaled with rate).
+    /// Paper-style defaults for a given sample rate: `W` covers speeds
+    /// down to 0.3 m/s on half-wavelength spacing (§3.2), and `V` follows
+    /// §6.2.7 ("a number larger than 30 should suffice for … 200 Hz",
+    /// scaled with rate).
     pub fn for_sample_rate(sample_rate_hz: f64) -> Self {
         Self {
-            window: ((0.5 * sample_rate_hz).round() as usize).max(4),
+            window: lag_window(MIN_SPEED, HALF_WAVELENGTH, sample_rate_hz),
             virtual_antennas: ((0.15 * sample_rate_hz).round() as usize).clamp(3, 60),
         }
     }
@@ -655,11 +668,13 @@ mod tests {
 
     #[test]
     fn config_defaults_scale_with_rate() {
+        // ⌈(λ/2) / 0.3 m/s × fs⌉: λ/2 ≈ 25.8 mm at 5.8 GHz.
         let c200 = AlignmentConfig::for_sample_rate(200.0);
-        assert_eq!(c200.window, 100);
+        assert_eq!(c200.window, 18);
         assert_eq!(c200.virtual_antennas, 30);
         let c50 = AlignmentConfig::for_sample_rate(50.0);
-        assert!(c50.window < c200.window);
+        assert_eq!(c50.window, 5);
+        assert_eq!(AlignmentConfig::for_sample_rate(10.0).window, 4);
         assert!(c50.virtual_antennas < c200.virtual_antennas);
         assert!(c50.virtual_antennas >= 3);
     }

@@ -2,7 +2,7 @@
 //!
 //! Constructors ([`crate::Rim::new`], [`crate::RimStream::new`]) and the
 //! session entry points ([`crate::pipeline::Session::analyze`],
-//! [`crate::stream::StreamSession::push`]) validate their inputs and
+//! [`crate::stream::StreamSession::ingest`]) validate their inputs and
 //! return one of these instead of panicking, with messages written to be
 //! actionable (they name the offending parameter and the fix).
 

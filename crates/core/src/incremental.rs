@@ -16,7 +16,7 @@
 //!   fixed per-antenna `SoaWindow` of that many lanes rather than a
 //!   mirror of the whole ring: per-sample work and memory are O(W),
 //!   however long the ring grows while a segment is open.
-//! * [`ProvisionalTracker`] — while a movement segment is open, folds the
+//! * `ProvisionalTracker` — while a movement segment is open, folds the
 //!   cached columns into per-group virtual-massive averages via rolling
 //!   box-filter sums, advances the DP peak-tracking forward pass one
 //!   column at a time (the exact relaxation step of
@@ -27,7 +27,7 @@
 //!   handling); only the final flush is bit-identical to batch.
 
 use crate::alignment::{refine_lag_in, AlignmentMatrix};
-use crate::pipeline::{Confidence, Precision, RimConfig};
+use crate::pipeline::{Confidence, Precision, RimConfig, MIN_PEAK_PROMINENCE};
 use crate::reckoning::{heading_from_frac_lag, speed_from_frac_lag};
 use crate::soa::{SoaScalar, SoaWindow};
 use crate::tracking_dp::{dp_advance_column, dp_jump_cost};
@@ -435,9 +435,7 @@ pub(crate) struct ProvisionalTracker {
     window: usize,
     half: usize,
     cost: f64,
-    min_prominence: f64,
     subsample: bool,
-    compensate: bool,
     /// Next absolute index to pull as a raw column (complete once the
     /// sample `next_raw + W` has arrived).
     next_raw: usize,
@@ -493,9 +491,7 @@ impl ProvisionalTracker {
             window: config.alignment.window,
             half: config.alignment.virtual_antennas / 2,
             cost: dp_jump_cost(config.dp.omega, config.alignment.window),
-            min_prominence: config.min_peak_prominence,
             subsample: config.subsample_refinement,
-            compensate: config.compensate_initial_motion,
             next_raw: start,
             next_avg: start,
             groups,
@@ -649,7 +645,7 @@ impl ProvisionalTracker {
             for (i, &ki) in ks.iter().enumerate() {
                 let lag = ki as isize - w;
                 let quality = g.avg[i][ki] - g.floors[i];
-                if quality < self.min_prominence {
+                if quality < MIN_PEAK_PROMINENCE {
                     continue;
                 }
                 // Boundary-pinned alignments match the chunk edge over and
@@ -690,7 +686,7 @@ impl ProvisionalTracker {
         let mut confidence = Confidence::default();
         if let Some(b) = best {
             let mut chunk = b.distance;
-            if b.resolved > 0 && self.compensate && !self.continued {
+            if b.resolved > 0 && !self.continued {
                 // Minimum initial motion Δd (§5): the follower must cover
                 // one separation before the first alignment exists.
                 chunk += self.groups.first().map_or(0.0, |g| g.sep);

@@ -59,8 +59,7 @@ pub use error::Error;
 pub use incremental::ColumnCache;
 pub use movement::{auto_threshold, detect_movement, movement_indicator, MovementConfig};
 pub use pipeline::{
-    Confidence, GapConfig, MotionEstimate, Precision, Rim, RimConfig, SegmentEstimate, SegmentKind,
-    Session,
+    Confidence, MotionEstimate, Precision, Rim, RimConfig, SegmentEstimate, SegmentKind, Session,
 };
 pub use stream::{
     DegradeReason, DropReason, FusedMode, GapFilter, GapOutcome, GapSample, ImuSample, RimStream,

@@ -4,7 +4,7 @@
 //! rotation reckoning, integrated into a motion estimate.
 
 use crate::alignment::{
-    base_cross_trrs_range_prec, virtual_average_with, AlignmentConfig, AlignmentMatrix,
+    base_cross_trrs_range_prec, lag_window, virtual_average_with, AlignmentConfig, AlignmentMatrix,
 };
 use crate::error::Error;
 use crate::incremental::ColumnCache;
@@ -23,6 +23,27 @@ use rim_dsp::stats::{circular_mean, wrap_angle};
 use rim_obs::{incremental_metric, stage, NullProbe, Probe};
 use rim_par::Pool;
 use std::sync::Arc;
+
+/// Column stride of the cheap pre-detection pass (§4.3).
+const PRE_STRIDE: usize = 4;
+/// Pre-detection keeps a group whose block prominence reaches this
+/// fraction of the best group's (or the midpoint to the block's floor,
+/// whichever is lower).
+const PRE_KEEP_RATIO: f64 = 0.85;
+/// Fraction of ring-pair groups that must be simultaneously prominent to
+/// declare a rotation (§4.4 (3)).
+const ROTATION_FRACTION: f64 = 0.99;
+/// Minimum TRRS prominence of the ridge above the column's noise floor
+/// for a sample to contribute estimates (post-detection gate, §4.3).
+/// Relative, because the absolute cross-antenna TRRS floor varies with
+/// multipath richness.
+pub(crate) const MIN_PEAK_PROMINENCE: f64 = 0.07;
+/// Hysteresis margin for switching the active group between samples.
+const SWITCH_MARGIN: f64 = 0.05;
+/// Half-width (seconds) of the speed and prominence smoothing windows.
+const SMOOTH_HALF_S: f64 = 0.15;
+/// Penalty weight on path jumpiness in post-detection scores.
+const JUMPINESS_PENALTY: f64 = 0.02;
 
 /// Numeric precision of the TRRS/alignment kernels (see `DESIGN.md`,
 /// "Precision modes").
@@ -58,30 +79,8 @@ pub struct RimConfig {
     pub movement: MovementConfig,
     /// DP peak-tracking parameters.
     pub dp: DpConfig,
-    /// Column stride of the cheap pre-detection pass (§4.3).
-    pub pre_stride: usize,
-    /// Keep groups whose pre-detection prominence is at least this
-    /// fraction of the best group's.
-    pub pre_keep_ratio: f64,
-    /// Minimum TRRS prominence of the ridge above the column's noise
-    /// floor for a sample to contribute estimates (post-detection gate).
-    /// Relative, because the absolute cross-antenna TRRS floor varies
-    /// with multipath richness.
-    pub min_peak_prominence: f64,
-    /// Hysteresis margin for switching the active group between samples.
-    pub switch_margin: f64,
-    /// Half-width (seconds) of the speed smoothing window.
-    pub smooth_half_s: f64,
     /// Minimum duration (seconds) of a moving segment (debounce).
     pub min_segment_s: f64,
-    /// Fraction of ring-pair groups that must be simultaneously prominent
-    /// to declare a rotation (§4.4 (3)).
-    pub rotation_fraction: f64,
-    /// Penalty weight on path jumpiness in post-detection scores.
-    pub jumpiness_penalty: f64,
-    /// Compensate each moving segment with the minimum initial motion Δd
-    /// (§5, "Minimum initial motion").
-    pub compensate_initial_motion: bool,
     /// Parabolic sub-sample refinement of ridge lags. An implementation
     /// improvement over the paper (which uses integer delays); turning it
     /// off reproduces the paper's quantisation behaviour, e.g. the
@@ -106,12 +105,10 @@ pub struct RimConfig {
     /// cadence requires [`RimConfig::incremental`].
     pub provisional_every: usize,
     /// The sample rate the configuration was derived for, Hz. Used by the
-    /// streaming front-end and by [`RimConfig::validate`]; offline
+    /// streaming front-end (which also sizes its gap tolerance and
+    /// watchdog window from it) and by [`RimConfig::validate`]; offline
     /// analysis reads the actual rate from the recording.
     pub sample_rate_hz: f64,
-    /// Gap tolerance and degraded-mode watchdog knobs for the streaming
-    /// front-end ([`crate::RimStream`]).
-    pub gap: GapConfig,
     /// Worker threads for the rim-par pool. `0` (the default) resolves
     /// from the `RIM_THREADS` environment variable, falling back to the
     /// machine's available parallelism; `1` forces the serial path.
@@ -126,81 +123,27 @@ pub struct RimConfig {
     /// for per-sample throughput. Precision never changes movement
     /// detection, segmentation, or event ordering.
     pub precision: Precision,
-    /// Serve-path trace sampling cadence: trace every Nth admitted
-    /// sample end to end (admission → queue → batch → ingest → flush →
-    /// wire) into a bounded [`rim_obs::TraceRecord`] ring. `0` (the
-    /// default) disables tracing entirely — the streaming hot path then
-    /// carries no trace state at all. Tracing is observational: results
-    /// are bit-identical with it on or off.
-    pub trace_sample_every: usize,
-}
-
-/// Gap tolerance and degraded-mode watchdog configuration for the
-/// streaming front-end (paper §5/§7: loss is tolerated "to a certain
-/// extent by interpolation"; beyond that extent the stream must split
-/// segments rather than integrate garbage).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GapConfig {
-    /// Longest run of entirely missing samples the stream bridges by
-    /// linear interpolation. A longer gap closes the open segment and
-    /// restarts alignment after it.
-    pub max_gap: usize,
-    /// Sliding window (samples) over which the watchdog measures the
-    /// interpolated-input fraction.
-    pub watchdog_window: usize,
-    /// Enter degraded mode when the windowed interpolated fraction
-    /// reaches this value.
-    pub degraded_enter: f64,
-    /// Leave degraded mode once the windowed fraction falls back to this
-    /// value (hysteresis: must not exceed `degraded_enter`).
-    pub degraded_exit: f64,
-    /// Minimum alignment-coverage ratio ([`Confidence::alignment_coverage`])
-    /// a flushed segment needs before the watchdog flags alignment
-    /// quality as degraded.
-    pub min_coverage: f64,
-}
-
-impl GapConfig {
-    /// Paper-style defaults for a sample rate: bridge up to 100 ms of
-    /// loss, watch a 1 s window, degrade at 35 % interpolated input and
-    /// recover below 15 %.
-    pub fn for_sample_rate(sample_rate_hz: f64) -> Self {
-        Self {
-            max_gap: ((0.1 * sample_rate_hz).round() as usize).max(2),
-            watchdog_window: ((1.0 * sample_rate_hz).round() as usize).max(8),
-            degraded_enter: 0.35,
-            degraded_exit: 0.15,
-            min_coverage: 0.2,
-        }
-    }
 }
 
 impl RimConfig {
-    /// Paper-style defaults for a sample rate.
+    /// Paper-style defaults for a sample rate. The lag window covers
+    /// speeds down to 0.3 m/s on half-wavelength spacing
+    /// ([`AlignmentConfig::for_sample_rate`]); [`RimConfig::with_min_speed`]
+    /// resizes it.
     pub fn for_sample_rate(sample_rate_hz: f64) -> Self {
         Self {
             alignment: AlignmentConfig::for_sample_rate(sample_rate_hz),
             movement: MovementConfig::for_sample_rate(sample_rate_hz),
             dp: DpConfig::default(),
-            pre_stride: 4,
-            pre_keep_ratio: 0.85,
-            min_peak_prominence: 0.07,
-            switch_margin: 0.05,
-            smooth_half_s: 0.15,
             min_segment_s: 0.25,
-            rotation_fraction: 0.99,
-            jumpiness_penalty: 0.02,
-            compensate_initial_motion: true,
             subsample_refinement: true,
             continuous_heading: false,
             incremental: true,
             provisional_every: ((0.25 * sample_rate_hz).round() as usize).max(1),
             sample_rate_hz,
-            gap: GapConfig::for_sample_rate(sample_rate_hz),
             threads: 0,
             tile_columns: 0,
             precision: Precision::default(),
-            trace_sample_every: 0,
         }
     }
 
@@ -208,8 +151,7 @@ impl RimConfig {
     /// for an antenna separation `sep` — "a larger window … is not
     /// needed" (§3.2).
     pub fn with_min_speed(mut self, min_speed: f64, sep: f64, sample_rate_hz: f64) -> Self {
-        let w = (sep / min_speed * sample_rate_hz).ceil() as usize;
-        self.alignment.window = w.max(4);
+        self.alignment.window = lag_window(min_speed, sep, sample_rate_hz);
         self
     }
 
@@ -217,13 +159,6 @@ impl RimConfig {
     /// [`RimConfig::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the serve-path trace sampling cadence (`0` = off, see
-    /// [`RimConfig::trace_sample_every`]).
-    pub fn with_trace_sampling(mut self, every: usize) -> Self {
-        self.trace_sample_every = every;
         self
     }
 
@@ -278,56 +213,6 @@ impl RimConfig {
                 "movement.threshold = {}; the self-TRRS threshold must lie in (0, 1] \
                  (TRRS is normalised to that range)",
                 self.movement.threshold
-            ));
-        }
-        if self.pre_stride == 0 {
-            return bad(
-                "pre_stride = 0; the pre-detection pass samples every pre_stride-th \
-                 column, so the stride must be at least 1"
-                    .into(),
-            );
-        }
-        if !(self.pre_keep_ratio > 0.0 && self.pre_keep_ratio <= 1.0) {
-            return bad(format!(
-                "pre_keep_ratio = {}; the keep ratio is a fraction of the best \
-                 group's prominence and must lie in (0, 1]",
-                self.pre_keep_ratio
-            ));
-        }
-        if self.gap.watchdog_window == 0 {
-            return bad(
-                "gap.watchdog_window = 0; the degraded-mode watchdog needs at \
-                 least one sample of history (about one second of samples is a \
-                 sensible window)"
-                    .into(),
-            );
-        }
-        if self.gap.max_gap > self.gap.watchdog_window {
-            return bad(format!(
-                "gap.max_gap = {} exceeds gap.watchdog_window = {}; a bridged gap \
-                 longer than the watchdog window could never trip degraded mode — \
-                 shrink max_gap or widen the window",
-                self.gap.max_gap, self.gap.watchdog_window
-            ));
-        }
-        for (name, v) in [
-            ("gap.degraded_enter", self.gap.degraded_enter),
-            ("gap.degraded_exit", self.gap.degraded_exit),
-            ("gap.min_coverage", self.gap.min_coverage),
-        ] {
-            if !(v.is_finite() && (0.0..=1.0).contains(&v)) {
-                return bad(format!(
-                    "{name} = {v}; watchdog thresholds are fractions and must lie \
-                     in [0, 1]"
-                ));
-            }
-        }
-        if self.gap.degraded_exit > self.gap.degraded_enter {
-            return bad(format!(
-                "gap.degraded_exit = {} exceeds gap.degraded_enter = {}; the exit \
-                 threshold must sit at or below the entry threshold (hysteresis), \
-                 or the watchdog would oscillate",
-                self.gap.degraded_exit, self.gap.degraded_enter
             ));
         }
         if self.provisional_every > 0 && !self.incremental {
@@ -493,7 +378,7 @@ impl MotionEstimate {
 ///     .unwrap();
 ///
 /// let config = RimConfig::for_sample_rate(100.0)
-///     .with_min_speed(0.3, HALF_WAVELENGTH, 100.0);
+///;
 /// let rim = Rim::new(geometry, config).unwrap();
 /// let estimate = rim.session().analyze(&csi).unwrap();
 /// assert!((estimate.total_distance() - 0.5).abs() < 0.1);
@@ -900,7 +785,7 @@ impl Rim {
             if !stands_out {
                 continue;
             }
-            let thr = (floor_b + 0.5 * (best_b - floor_b)).min(self.config.pre_keep_ratio * best_b);
+            let thr = (floor_b + 0.5 * (best_b - floor_b)).min(PRE_KEEP_RATIO * best_b);
             for (g, &v) in col.iter().enumerate() {
                 if v >= thr && !survivors.contains(&g) {
                     survivors.push(g);
@@ -942,7 +827,7 @@ impl Rim {
         block_len: usize,
     ) -> (Vec<f64>, u64) {
         let w = self.config.alignment.window;
-        let stride = self.config.pre_stride.max(1);
+        let stride = PRE_STRIDE;
         let len = e - s;
         let n_blocks = len.div_ceil(block_len).max(1);
         let mut out = Vec::with_capacity(n_blocks);
@@ -1035,7 +920,7 @@ impl Rim {
             .iter()
             .filter(|&&k| prominences[k] >= threshold)
             .count();
-        prominent as f64 >= self.config.rotation_fraction * ring_group_idx.len() as f64
+        prominent as f64 >= ROTATION_FRACTION * ring_group_idx.len() as f64
     }
 
     /// Translation estimation (§4.4 (1), (2)).
@@ -1066,7 +951,7 @@ impl Rim {
             score: Vec<f64>,
         }
         let mut tracks: Vec<GroupTrack> = Vec::new();
-        let smooth_half = ((cfg.smooth_half_s * fs).round() as usize).max(1);
+        let smooth_half = ((SMOOTH_HALF_S * fs).round() as usize).max(1);
         for &k in survivors {
             let g = &groups[k];
             let served: u64 = g
@@ -1120,7 +1005,7 @@ impl Rim {
             let smoothed = rim_dsp::filter::moving_average(&raw_quality, smooth_half);
             let score: Vec<f64> = smoothed
                 .iter()
-                .map(|q| q - cfg.jumpiness_penalty * path.jumpiness)
+                .map(|q| q - JUMPINESS_PENALTY * path.jumpiness)
                 .collect();
             tracks.push(GroupTrack {
                 sep: g[0].separation,
@@ -1174,13 +1059,13 @@ impl Rim {
                     })
                     .unwrap();
                 if challenger != current
-                    && tracks[challenger].score[i] > tracks[current].score[i] + cfg.switch_margin
+                    && tracks[challenger].score[i] > tracks[current].score[i] + SWITCH_MARGIN
                 {
                     current = challenger;
                     switches += 1;
                 }
                 let tr = &tracks[current];
-                if tr.raw_quality[i] < cfg.min_peak_prominence {
+                if tr.raw_quality[i] < MIN_PEAK_PROMINENCE {
                     gated += 1;
                     continue;
                 }
@@ -1201,7 +1086,7 @@ impl Rim {
                     // §7 "angle resolution": weight every genuinely-aligned
                     // group's direction by its ridge prominence; deviated
                     // motion interpolates between adjacent directions.
-                    let gate = (tr.raw_quality[i] * 0.5).max(cfg.min_peak_prominence);
+                    let gate = (tr.raw_quality[i] * 0.5).max(MIN_PEAK_PROMINENCE);
                     let (mut sx, mut sy) = (0.0f64, 0.0f64);
                     for other in &tracks {
                         let q = other.raw_quality[i];
@@ -1242,7 +1127,7 @@ impl Rim {
                             let tr_lag = tracks
                                 .iter()
                                 .filter_map(|tr| {
-                                    if tr.raw_quality[i0] >= cfg.min_peak_prominence {
+                                    if tr.raw_quality[i0] >= MIN_PEAK_PROMINENCE {
                                         Some(tr.refined[i0].abs())
                                     } else {
                                         None
@@ -1346,10 +1231,10 @@ impl Rim {
 
         let dt = 1.0 / fs;
         let mut distance: f64 = speed.iter().filter(|v| v.is_finite()).sum::<f64>() * dt;
-        if cfg.compensate_initial_motion {
-            if let Some(sep) = chosen_sep {
-                distance += sep;
-            }
+        // Minimum initial motion Δd (§5): an antenna must travel the
+        // separation of the chosen pair before the first alignment.
+        if let Some(sep) = chosen_sep {
+            distance += sep;
         }
         let headings_present: Vec<f64> = heading.iter().flatten().copied().collect();
         let seg_heading = if headings_present.is_empty() {
@@ -1393,7 +1278,7 @@ impl Rim {
         let arc = self.geometry.rotation_arc_separation()?;
         let cfg = &self.config;
         let len = e - s;
-        let smooth_half = ((cfg.smooth_half_s * fs).round() as usize).max(1);
+        let smooth_half = ((SMOOTH_HALF_S * fs).round() as usize).max(1);
 
         // Average opposite ring pairs (they share delays) to limit cost:
         // pair k with pair k + n/2 where available.
@@ -1457,7 +1342,7 @@ impl Rim {
             let mut valid: Vec<(f64, isize)> = (0..len)
                 .filter(|&i| {
                     let src = i as isize - path.lags[i];
-                    quality[i] >= cfg.min_peak_prominence
+                    quality[i] >= MIN_PEAK_PROMINENCE
                         && path.lags[i] != 0
                         && src >= 3
                         && src <= len as isize - 3
@@ -1503,7 +1388,7 @@ impl Rim {
                     if src < 3 || src > len as isize - 3 {
                         return f64::NAN;
                     }
-                    if quality[i] < cfg.min_peak_prominence
+                    if quality[i] < MIN_PEAK_PROMINENCE
                         || lag.signum() != median_lag.signum()
                         || lag.abs() * 4 < median_lag.abs() * 3
                     {
@@ -1552,12 +1437,10 @@ impl Rim {
         // arc before the first alignment is compensated separately.
         let dt = 1.0 / fs;
         let mut total: f64 = angular.iter().filter(|v| v.is_finite()).sum::<f64>() * dt;
-        if cfg.compensate_initial_motion {
-            // Minimum initial rotation: an antenna must sweep the
-            // inter-antenna arc before the first alignment.
-            let blind = std::f64::consts::TAU / self.geometry.n_antennas() as f64;
-            total += blind * total.signum();
-        }
+        // Minimum initial rotation (§5): an antenna must sweep the
+        // inter-antenna arc before the first alignment.
+        let blind = std::f64::consts::TAU / self.geometry.n_antennas() as f64;
+        total += blind * total.signum();
         let confidence = Confidence {
             peak_margin: if margin_n > 0 {
                 margin_sum / margin_n as f64
@@ -1706,10 +1589,6 @@ mod tests {
             .expect("interpolable")
     }
 
-    fn config(fs: f64) -> RimConfig {
-        RimConfig::for_sample_rate(fs).with_min_speed(0.3, HALF_WAVELENGTH, fs)
-    }
-
     #[test]
     fn measures_straight_push() {
         let sim = small_sim();
@@ -1723,7 +1602,7 @@ mod tests {
             fs,
             OrientationMode::FollowPath,
         );
-        let est = Rim::new(geo, config(fs))
+        let est = Rim::new(geo, RimConfig::for_sample_rate(fs))
             .unwrap()
             .analyze(&record(
                 &sim,
@@ -1745,7 +1624,7 @@ mod tests {
         let geo = rim_array::ArrayGeometry::linear(3, HALF_WAVELENGTH);
         let fs = 100.0;
         let traj = dwell(Point2::new(1.0, 1.5), 0.0, 1.0, fs);
-        let est = Rim::new(geo.clone(), config(fs))
+        let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
             .unwrap()
             .analyze(&record(&sim, &geo, &traj))
             .unwrap();
@@ -1767,7 +1646,7 @@ mod tests {
             fs,
             OrientationMode::Fixed(0.0),
         );
-        let est = Rim::new(geo.clone(), config(fs))
+        let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
             .unwrap()
             .analyze(&record(&sim, &geo, &traj))
             .unwrap();
@@ -1792,7 +1671,7 @@ mod tests {
             fs,
             OrientationMode::FollowPath,
         );
-        let est = Rim::new(geo.clone(), config(fs))
+        let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
             .unwrap()
             .analyze(&record(&sim, &geo, &traj))
             .unwrap();
@@ -1804,7 +1683,7 @@ mod tests {
     #[test]
     fn mismatched_antenna_count_is_rejected() {
         let geo = rim_array::ArrayGeometry::linear(3, HALF_WAVELENGTH);
-        let rim = Rim::new(geo, config(100.0)).unwrap();
+        let rim = Rim::new(geo, RimConfig::for_sample_rate(100.0)).unwrap();
         let csi = DenseCsi {
             sample_rate_hz: 100.0,
             subcarrier_indices: vec![0, 1],
@@ -1824,7 +1703,7 @@ mod tests {
     #[test]
     fn too_short_series_is_rejected() {
         let geo = rim_array::ArrayGeometry::linear(2, HALF_WAVELENGTH);
-        let rim = Rim::new(geo, config(100.0)).unwrap();
+        let rim = Rim::new(geo, RimConfig::for_sample_rate(100.0)).unwrap();
         let csi = DenseCsi {
             sample_rate_hz: 100.0,
             subcarrier_indices: vec![0, 1],
@@ -1843,7 +1722,7 @@ mod tests {
         // between the mismatched snapshots (the kernels' contract) and
         // reckon garbage — the boundary must catch it instead.
         let geo = rim_array::ArrayGeometry::linear(2, HALF_WAVELENGTH);
-        let rim = Rim::new(geo, config(100.0)).unwrap();
+        let rim = Rim::new(geo, RimConfig::for_sample_rate(100.0)).unwrap();
         let wide = CsiSnapshot {
             per_tx: vec![vec![rim_dsp::complex::Complex64::from_re(1.0); 114]],
         };
@@ -1866,7 +1745,7 @@ mod tests {
     #[test]
     fn ragged_tx_streams_are_rejected_as_geometry_error() {
         let geo = rim_array::ArrayGeometry::linear(2, HALF_WAVELENGTH);
-        let rim = Rim::new(geo, config(100.0)).unwrap();
+        let rim = Rim::new(geo, RimConfig::for_sample_rate(100.0)).unwrap();
         let h = rim_dsp::complex::Complex64::from_re(1.0);
         let ragged = CsiSnapshot {
             per_tx: vec![vec![h; 56], vec![h; 55]],
@@ -1887,7 +1766,7 @@ mod tests {
         let cases: Vec<(RimConfig, &str)> = vec![
             (
                 {
-                    let mut c = config(100.0);
+                    let mut c = RimConfig::for_sample_rate(100.0);
                     c.alignment.window = 0;
                     c
                 },
@@ -1895,7 +1774,7 @@ mod tests {
             ),
             (
                 {
-                    let mut c = config(100.0);
+                    let mut c = RimConfig::for_sample_rate(100.0);
                     c.alignment.virtual_antennas = 0;
                     c
                 },
@@ -1903,7 +1782,7 @@ mod tests {
             ),
             (
                 {
-                    let mut c = config(100.0);
+                    let mut c = RimConfig::for_sample_rate(100.0);
                     c.sample_rate_hz = 0.0;
                     c
                 },
@@ -1911,7 +1790,7 @@ mod tests {
             ),
             (
                 {
-                    let mut c = config(100.0);
+                    let mut c = RimConfig::for_sample_rate(100.0);
                     c.movement.threshold = 1.5;
                     c
                 },
@@ -1919,7 +1798,7 @@ mod tests {
             ),
             (
                 {
-                    let mut c = config(100.0);
+                    let mut c = RimConfig::for_sample_rate(100.0);
                     c.threads = rim_par::MAX_THREADS + 1;
                     c
                 },
@@ -1927,7 +1806,7 @@ mod tests {
             ),
             (
                 {
-                    let mut c = config(100.0);
+                    let mut c = RimConfig::for_sample_rate(100.0);
                     // Keeps the default nonzero cadence, which only the
                     // incremental engine can honour.
                     c.incremental = false;
@@ -1947,14 +1826,14 @@ mod tests {
             vec![rim_dsp::geom::Vec2::new(0.0, 0.0)],
             vec![vec![0]],
         );
-        let err = Rim::new(lone, config(100.0)).unwrap_err();
+        let err = Rim::new(lone, RimConfig::for_sample_rate(100.0)).unwrap_err();
         assert!(matches!(err, crate::Error::Geometry(_)), "{err:?}");
     }
 
     #[test]
     fn session_rejects_antenna_mismatch() {
         let geo = rim_array::ArrayGeometry::linear(3, HALF_WAVELENGTH);
-        let rim = Rim::new(geo, config(100.0)).unwrap();
+        let rim = Rim::new(geo, RimConfig::for_sample_rate(100.0)).unwrap();
         let csi = DenseCsi {
             sample_rate_hz: 100.0,
             subcarrier_indices: vec![0, 1],
@@ -1962,6 +1841,21 @@ mod tests {
         };
         let err = rim.session().probe(&NullProbe).analyze(&csi).unwrap_err();
         assert!(matches!(err, crate::Error::AntennaMismatch { .. }));
+    }
+
+    /// The default lag window is the one the CLI, `perfbench` and the
+    /// figures use, so their configs stay bit-identical without
+    /// restating it.
+    #[test]
+    fn default_window_covers_the_paper_minimum_speed() {
+        for fs in [50.0, 100.0, 160.0, 200.0] {
+            let tools = RimConfig::for_sample_rate(fs).with_min_speed(0.3, HALF_WAVELENGTH, fs);
+            assert_eq!(
+                RimConfig::for_sample_rate(fs).alignment.window,
+                tools.alignment.window,
+                "fs = {fs}"
+            );
+        }
     }
 
     #[test]
@@ -2023,7 +1917,7 @@ mod tests {
             fs,
             OrientationMode::Fixed(0.0),
         );
-        let est = Rim::new(geo.clone(), config(fs))
+        let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
             .unwrap()
             .analyze(&record(&sim, &geo, &traj))
             .unwrap();

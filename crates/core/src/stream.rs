@@ -13,11 +13,11 @@
 //! certain extent by interpolation"): packets are lost, duplicated, and
 //! reordered by two unsynchronised NICs. The stream therefore ingests
 //! *sequence-numbered, possibly-incomplete* samples through a
-//! [`GapFilter`]: short gaps (≤ [`crate::GapConfig::max_gap`]) are bridged by
+//! [`GapFilter`]: short gaps (up to 100 ms of samples) are bridged by
 //! linear interpolation with the same arithmetic as
 //! [`rim_dsp::interp::fill_gaps_complex`], long gaps split the open
 //! segment instead of silently integrating garbage, and duplicates /
-//! stale reorders are dropped idempotently. A [`Watchdog`] monitors input
+//! stale reorders are dropped idempotently. A watchdog monitors input
 //! continuity and alignment quality and emits
 //! [`StreamEvent::Degraded`] / [`StreamEvent::Recovered`] transitions so
 //! downstream fusion can down-weight bad stretches.
@@ -31,9 +31,7 @@
 use crate::error::Error;
 use crate::incremental::{ColumnCache, ProvisionalTracker};
 use crate::movement::LaggedTerms;
-use crate::pipeline::{
-    Confidence, GapConfig, MotionEstimate, Rim, RimConfig, SegmentEstimate, SegmentInput,
-};
+use crate::pipeline::{Confidence, MotionEstimate, Rim, RimConfig, SegmentEstimate, SegmentInput};
 use crate::trrs::NormSnapshot;
 use rim_array::ArrayGeometry;
 use rim_csi::frame::CsiSnapshot;
@@ -84,8 +82,8 @@ pub enum StreamEvent {
         /// Absolute sample index.
         at: usize,
     },
-    /// Input or alignment quality fell below the thresholds configured in
-    /// [`crate::GapConfig`]; estimates may be missing or low-confidence
+    /// Input or alignment quality fell below the watchdog's thresholds
+    /// (see [`DegradeReason`]); estimates may be missing or low-confidence
     /// until the matching [`StreamEvent::Recovered`].
     Degraded {
         /// Absolute sample index of the transition.
@@ -222,21 +220,21 @@ impl StreamEvent {
 /// Why the stream entered degraded mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DegradeReason {
-    /// A run of `lost` consecutive samples exceeded
-    /// [`crate::GapConfig::max_gap`]; the open segment was split and the
-    /// lost stretch skipped.
+    /// A run of `lost` consecutive samples exceeded the gap tolerance
+    /// (100 ms of samples); the open segment was split and the lost
+    /// stretch skipped.
     InputGap {
         /// Consecutive samples lost.
         lost: u64,
     },
-    /// The interpolated fraction of the watchdog window reached
-    /// [`crate::GapConfig::degraded_enter`].
+    /// The interpolated fraction of the one-second watchdog window
+    /// reached 35 %.
     HighInterpolation {
         /// Interpolated fraction at the transition.
         fraction: f64,
     },
-    /// The last flushed segment resolved alignment on less than
-    /// [`crate::GapConfig::min_coverage`] of its samples.
+    /// The last flushed segment resolved alignment on less than 20 % of
+    /// its samples.
     LowAlignment {
         /// Alignment-coverage ratio of the offending segment.
         coverage: f64,
@@ -511,15 +509,35 @@ fn lerp_snapshot(l: &CsiSnapshot, r: &CsiSnapshot, t: f64) -> CsiSnapshot {
     }
 }
 
+/// Longest run of entirely missing samples the stream bridges by linear
+/// interpolation: 100 ms of loss, at least 2 samples (§5/§7: loss is
+/// tolerated "to a certain extent by interpolation"). A longer gap closes
+/// the open segment and restarts alignment after it.
+fn max_gap(sample_rate_hz: f64) -> usize {
+    ((0.1 * sample_rate_hz).round() as usize).max(2)
+}
+
+/// The watchdog enters degraded mode when the interpolated fraction of
+/// its window reaches this value…
+const DEGRADED_ENTER: f64 = 0.35;
+/// …and leaves it once the fraction falls back to this one (hysteresis,
+/// so the state does not oscillate).
+const DEGRADED_EXIT: f64 = 0.15;
+/// Minimum alignment-coverage ratio ([`Confidence::alignment_coverage`])
+/// a flushed segment needs before the watchdog flags alignment quality
+/// as degraded.
+const MIN_COVERAGE: f64 = 0.2;
+
 /// Degraded-mode watchdog: tracks input continuity (interpolated
-/// fraction over a sliding window, forced splits) and alignment quality
-/// (the last segment's coverage) with enter/exit hysteresis, and turns
-/// state changes into [`StreamEvent::Degraded`] /
+/// fraction over a one-second sliding window, forced splits) and
+/// alignment quality (the last segment's coverage) with enter/exit
+/// hysteresis, and turns state changes into [`StreamEvent::Degraded`] /
 /// [`StreamEvent::Recovered`] transitions.
 #[derive(Debug)]
 struct Watchdog {
-    cfg: GapConfig,
-    /// Interpolation flags of the newest `watchdog_window` samples.
+    /// Sliding-window length, samples.
+    window: usize,
+    /// Interpolation flags of the newest `window` samples.
     recent: VecDeque<bool>,
     interp_in_window: usize,
     /// Input-continuity degradation cause (interpolation or splits).
@@ -534,10 +552,11 @@ struct Watchdog {
 }
 
 impl Watchdog {
-    fn new(cfg: GapConfig) -> Self {
+    fn new(sample_rate_hz: f64) -> Self {
+        let window = (sample_rate_hz.round() as usize).max(8);
         Self {
-            cfg,
-            recent: VecDeque::with_capacity(cfg.watchdog_window + 1),
+            window,
+            recent: VecDeque::with_capacity(window + 1),
             interp_in_window: 0,
             input_bad: false,
             alignment_bad: false,
@@ -567,7 +586,7 @@ impl Watchdog {
         if interpolated {
             self.interp_in_window += 1;
         }
-        if self.recent.len() > self.cfg.watchdog_window && self.recent.pop_front() == Some(true) {
+        if self.recent.len() > self.window && self.recent.pop_front() == Some(true) {
             self.interp_in_window -= 1;
         }
         let fraction = self.fraction();
@@ -575,16 +594,16 @@ impl Watchdog {
         // The fraction is only meaningful over a full window: a couple of
         // lost packets among the first few samples is not degradation
         // (catastrophic early loss still degrades via the split path).
-        let window_full = self.recent.len() >= self.cfg.watchdog_window;
-        if !self.input_bad && window_full && fraction >= self.cfg.degraded_enter {
+        let window_full = self.recent.len() >= self.window;
+        if !self.input_bad && window_full && fraction >= DEGRADED_ENTER {
             self.input_bad = true;
             reason = Some(DegradeReason::HighInterpolation { fraction });
-        } else if self.input_bad && fraction <= self.cfg.degraded_exit {
+        } else if self.input_bad && fraction <= DEGRADED_EXIT {
             // A recent split keeps input degraded for a full window even
             // though the (restarted) window looks healthy.
             let held = self
                 .last_split
-                .is_some_and(|s| at.saturating_sub(s) < self.cfg.watchdog_window);
+                .is_some_and(|s| at.saturating_sub(s) < self.window);
             if !held {
                 self.input_bad = false;
             }
@@ -610,7 +629,7 @@ impl Watchdog {
     /// Records a flushed segment's alignment-coverage ratio.
     fn on_segment(&mut self, coverage: f64, at: usize) -> Option<StreamEvent> {
         let was = self.degraded();
-        self.alignment_bad = coverage < self.cfg.min_coverage;
+        self.alignment_bad = coverage < MIN_COVERAGE;
         self.transition(was, at, Some(DegradeReason::LowAlignment { coverage }))
     }
 
@@ -857,8 +876,8 @@ impl<'s, P: Probe + ?Sized> StreamSession<'s, P> {
 impl RimStream {
     /// Creates a streaming engine for the configuration's sample rate
     /// ([`RimConfig::sample_rate_hz`]). The ring holds `4·(W + V)`
-    /// samples plus the maximum open-segment length. Gap tolerance and
-    /// watchdog behaviour come from [`RimConfig::gap`].
+    /// samples plus the maximum open-segment length. The gap tolerance
+    /// (100 ms) and the watchdog window (1 s) are sized from the rate.
     ///
     /// # Errors
     /// The same validation as [`Rim::new`]: [`Error::Config`] for
@@ -878,7 +897,6 @@ impl RimStream {
         let w = config.alignment.window;
         let v = config.alignment.virtual_antennas;
         let fs = config.sample_rate_hz;
-        let gap = config.gap;
         let max_open = (4.0 * fs) as usize; // flush at least every 4 s
         let capacity = max_open + 4 * (w + v) + 8;
         let n_ant = rim.geometry().n_antennas();
@@ -886,8 +904,8 @@ impl RimStream {
             .incremental
             .then(|| ColumnCache::new(rim.geometry(), w, config.precision));
         Self {
-            gap_filter: GapFilter::new(n_ant, gap.max_gap),
-            watchdog: Watchdog::new(gap),
+            gap_filter: GapFilter::new(n_ant, max_gap(fs)),
+            watchdog: Watchdog::new(fs),
             ring: (0..n_ant)
                 .map(|_| VecDeque::with_capacity(capacity))
                 .collect(),
@@ -1453,17 +1471,15 @@ impl RimStream {
         if self.segment_continued {
             // A continuation chunk: remove the per-segment Δd compensation
             // that analyze_segment applied (the motion did not restart).
-            if self.rim.config().compensate_initial_motion {
-                let sep = self
-                    .rim
-                    .geometry()
-                    .pairs()
-                    .iter()
-                    .map(|p| p.separation)
-                    .fold(f64::INFINITY, f64::min);
-                if sep.is_finite() && result.summary.distance_m >= sep {
-                    result.summary.distance_m -= sep;
-                }
+            let sep = self
+                .rim
+                .geometry()
+                .pairs()
+                .iter()
+                .map(|p| p.separation)
+                .fold(f64::INFINITY, f64::min);
+            if sep.is_finite() && result.summary.distance_m >= sep {
+                result.summary.distance_m -= sep;
             }
         }
         // The batch pipeline cannot see which ring samples were
@@ -1613,10 +1629,6 @@ mod tests {
         )
     }
 
-    fn config(fs: f64) -> RimConfig {
-        RimConfig::for_sample_rate(fs).with_min_speed(0.3, HALF_WAVELENGTH, fs)
-    }
-
     /// A one-TX snapshot with distinct subcarrier values derived from
     /// `base`, for exact-value assertions.
     fn probe_snap(base: f64) -> CsiSnapshot {
@@ -1724,7 +1736,7 @@ mod tests {
     #[test]
     fn offer_rejects_non_finite_snapshots() {
         let geo = rim_array::ArrayGeometry::linear(3, HALF_WAVELENGTH);
-        let mut stream = RimStream::new(geo, config(100.0)).unwrap();
+        let mut stream = RimStream::new(geo, RimConfig::for_sample_rate(100.0)).unwrap();
         let mut bad = probe_snap(1.0);
         bad.per_tx[0][2] = Complex64::new(f64::NAN, 0.0);
         let offer = vec![Some(probe_snap(0.0)), Some(bad), Some(probe_snap(2.0))];
@@ -1743,7 +1755,7 @@ mod tests {
     #[test]
     fn mid_stream_grid_change_is_rejected_as_geometry_error() {
         let geo = rim_array::ArrayGeometry::linear(3, HALF_WAVELENGTH);
-        let mut stream = RimStream::new(geo, config(100.0)).unwrap();
+        let mut stream = RimStream::new(geo, RimConfig::for_sample_rate(100.0)).unwrap();
         stream
             .ingest(vec![probe_snap(0.0), probe_snap(1.0), probe_snap(2.0)])
             .unwrap();
@@ -1788,13 +1800,13 @@ mod tests {
         .unwrap();
 
         // Offline reference.
-        let offline = Rim::new(geo.clone(), config(fs))
+        let offline = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
             .unwrap()
             .analyze(&dense)
             .unwrap();
 
         // Streamed.
-        let mut stream = RimStream::new(geo, config(fs)).unwrap();
+        let mut stream = RimStream::new(geo, RimConfig::for_sample_rate(fs)).unwrap();
         let mut agg = StreamAggregate::default();
         let mut started = 0;
         let mut stopped = 0;
@@ -1858,7 +1870,7 @@ mod tests {
         .record(&traj)
         .interpolated()
         .unwrap();
-        let mut stream = RimStream::new(geo, config(fs)).unwrap();
+        let mut stream = RimStream::new(geo, RimConfig::for_sample_rate(fs)).unwrap();
         let mut agg = StreamAggregate::default();
         let mut max_ring = 0usize;
         for i in 0..dense.n_samples() {
@@ -1894,7 +1906,7 @@ mod tests {
         .record(&traj)
         .interpolated()
         .unwrap();
-        let mut stream = RimStream::new(geo, config(fs)).unwrap();
+        let mut stream = RimStream::new(geo, RimConfig::for_sample_rate(fs)).unwrap();
         let mut events = Vec::new();
         for i in 0..dense.n_samples() {
             let snaps: Vec<_> = dense.antennas.iter().map(|a| a[i].clone()).collect();
@@ -1927,8 +1939,8 @@ mod tests {
         .record(&traj)
         .interpolated()
         .unwrap();
-        let cfg = config(fs);
-        let max_gap = cfg.gap.max_gap;
+        let cfg = RimConfig::for_sample_rate(fs);
+        let max_gap = max_gap(cfg.sample_rate_hz);
         let mut stream = RimStream::new(geo, cfg).unwrap();
         let mut agg = StreamAggregate::default();
         let mut saw_input_gap = false;
@@ -1989,7 +2001,7 @@ mod tests {
         .record(&traj)
         .interpolated()
         .unwrap();
-        let mut stream = RimStream::new(geo, config(fs)).unwrap();
+        let mut stream = RimStream::new(geo, RimConfig::for_sample_rate(fs)).unwrap();
         let mut agg = StreamAggregate::default();
         // Drop every 24th sample: isolated single-sample gaps, far below
         // both max_gap and the watchdog's enter threshold.
@@ -2021,7 +2033,7 @@ mod tests {
     #[test]
     fn ingest_accepts_every_input_shape() {
         let geo = rim_array::ArrayGeometry::linear(3, HALF_WAVELENGTH);
-        let mut stream = RimStream::new(geo, config(100.0)).unwrap();
+        let mut stream = RimStream::new(geo, RimConfig::for_sample_rate(100.0)).unwrap();
         let snaps = vec![probe_snap(0.0), probe_snap(1.0), probe_snap(2.0)];
         assert!(stream.ingest(snaps.clone()).unwrap().is_empty());
         let holes: Vec<_> = snaps.into_iter().map(Some).collect();
@@ -2037,7 +2049,7 @@ mod tests {
     #[test]
     fn stale_seq_after_rebase_is_dropped_not_underflowed() {
         let geo = rim_array::ArrayGeometry::linear(3, HALF_WAVELENGTH);
-        let mut stream = RimStream::new(geo, config(100.0)).unwrap();
+        let mut stream = RimStream::new(geo, RimConfig::for_sample_rate(100.0)).unwrap();
         // White-box: a rebased gap filter expecting a pre-epoch sequence
         // number. Before the guard, `(seq - first) as usize` underflowed.
         stream.first_seq = Some(1000);
@@ -2067,7 +2079,7 @@ mod tests {
     #[test]
     fn tx_mismatch_within_a_sample_is_counted() {
         let geo = rim_array::ArrayGeometry::linear(3, HALF_WAVELENGTH);
-        let mut stream = RimStream::new(geo, config(100.0)).unwrap();
+        let mut stream = RimStream::new(geo, RimConfig::for_sample_rate(100.0)).unwrap();
         let mut two_tx = probe_snap(1.0);
         two_tx.per_tx.push(two_tx.per_tx[0].clone());
         let recorder = rim_obs::Recorder::new();
@@ -2114,7 +2126,7 @@ mod tests {
         .record(&traj)
         .interpolated()
         .unwrap();
-        let mut cfg = config(fs);
+        let mut cfg = RimConfig::for_sample_rate(fs);
         cfg.provisional_every = 10;
         let mut stream = RimStream::new(geo, cfg).unwrap();
         let mut provisional_distances = Vec::new();
@@ -2218,9 +2230,9 @@ mod tests {
         .record(&traj)
         .interpolated()
         .unwrap();
-        let cfg = config(fs);
+        let cfg = RimConfig::for_sample_rate(fs);
         let mcfg = cfg.movement;
-        let gap = cfg.gap.max_gap + 3;
+        let gap = max_gap(cfg.sample_rate_hz) + 3;
         // Splits mid-dwell, mid-motion and in the closing dwell.
         let lost = [30..30 + gap, 110..110 + gap, 200..200 + gap];
         let norm: Vec<Vec<NormSnapshot>> = dense
@@ -2309,7 +2321,7 @@ mod tests {
             (Precision::F64Reference, std::mem::size_of::<f64>()),
             (Precision::F32Fast, std::mem::size_of::<f32>()),
         ] {
-            let cfg = config(fs).precision(precision);
+            let cfg = RimConfig::for_sample_rate(fs).precision(precision);
             let w = cfg.alignment.window;
             let mut stream = RimStream::new(geo.clone(), cfg).unwrap();
             let (mut max_ring, mut partial) = (0usize, false);
@@ -2334,7 +2346,7 @@ mod tests {
     #[test]
     fn wrong_antenna_count_is_rejected() {
         let geo = rim_array::ArrayGeometry::linear(3, HALF_WAVELENGTH);
-        let mut stream = RimStream::new(geo, config(100.0)).unwrap();
+        let mut stream = RimStream::new(geo, RimConfig::for_sample_rate(100.0)).unwrap();
         let err = stream.ingest(StreamInput::Dense(Vec::new())).unwrap_err();
         assert_eq!(
             err,

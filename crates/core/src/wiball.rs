@@ -1,5 +1,5 @@
 //! WiBall-style single-antenna speed estimation (paper §7, "Incorporating
-//! existing techniques such as WiBall [46], which is based on TRRS as
+//! existing techniques such as WiBall \[46\], which is based on TRRS as
 //! well, may offer (less accurate) distance estimation in arbitrary
 //! directions, without the need of a 3D array").
 //!

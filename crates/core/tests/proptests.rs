@@ -441,7 +441,6 @@ proptest! {
         let run = |threads: usize| {
             let geometry = ArrayGeometry::linear(3, HALF_WAVELENGTH);
             let config = RimConfig::for_sample_rate(fs)
-                .with_min_speed(0.3, HALF_WAVELENGTH, fs)
                 .with_threads(threads);
             let mut stream = RimStream::new(geometry, config).expect("valid config");
             let mut segments = Vec::new();
@@ -504,7 +503,6 @@ proptest! {
         let run = |threads: usize, incremental: bool| {
             let geometry = ArrayGeometry::linear(3, HALF_WAVELENGTH);
             let mut config = RimConfig::for_sample_rate(fs)
-                .with_min_speed(0.3, HALF_WAVELENGTH, fs)
                 .with_threads(threads);
             config.incremental = incremental;
             if !incremental {
@@ -572,8 +570,7 @@ proptest! {
         let walk = shared_walk();
         let fs = 100.0;
         let geometry = ArrayGeometry::linear(3, HALF_WAVELENGTH);
-        let mut config = RimConfig::for_sample_rate(fs)
-            .with_min_speed(0.3, HALF_WAVELENGTH, fs);
+        let mut config = RimConfig::for_sample_rate(fs);
         config.provisional_every = 5;
         let mut stream = RimStream::new(geometry, config).expect("valid config");
         let mut all_events = Vec::new();

@@ -82,14 +82,6 @@ impl DeviceConfig {
         self.nics.iter().map(|n| n.antenna_offsets.len()).sum()
     }
 
-    /// All antenna offsets in global antenna order.
-    pub fn all_offsets(&self) -> Vec<Vec2> {
-        self.nics
-            .iter()
-            .flat_map(|n| n.antenna_offsets.iter().copied())
-            .collect()
-    }
-
     /// Sets every NIC's impairment profile.
     pub fn with_profile(mut self, profile: HardwareProfile) -> Self {
         for nic in &mut self.nics {

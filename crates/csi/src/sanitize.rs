@@ -10,55 +10,7 @@
 
 use rim_dsp::complex::{Complex64, ZERO};
 use rim_dsp::fft::fft_pow2_in_place;
-use rim_dsp::stats::wrap_angle;
 use std::cell::RefCell;
-
-/// Unwraps a phase sequence: adds multiples of 2π so consecutive samples
-/// never jump by more than π.
-///
-/// Jumps are closed one 2π turn at a time. A jump of more than 65,536
-/// turns, or one that subtracting 2π cannot shrink because the values are
-/// too large for it to change them, is reduced in closed form instead, so
-/// the function returns for every input. A non-finite entry passes
-/// through unchanged, and so does the entry after it, which has no finite
-/// neighbour to unwrap against.
-pub fn unwrap_phase(phases: &[f64]) -> Vec<f64> {
-    use std::f64::consts::{PI, TAU};
-    let mut out: Vec<f64> = Vec::with_capacity(phases.len());
-    let mut offset = 0.0;
-    for (i, &p) in phases.iter().enumerate() {
-        if i > 0 {
-            let prev = out[i - 1];
-            let mut cur = p + offset;
-            // False for NaN and infinite jumps.
-            if (cur - prev).abs() <= f64::from(UNWRAP_LOOP_TURNS) * TAU {
-                let mut turns = UNWRAP_LOOP_TURNS + 1;
-                while cur - prev > PI && turns > 0 {
-                    cur -= TAU;
-                    offset -= TAU;
-                    turns -= 1;
-                }
-                while cur - prev < -PI && turns > 0 {
-                    cur += TAU;
-                    offset += TAU;
-                    turns -= 1;
-                }
-            }
-            if (cur - prev).abs() > PI && cur.is_finite() && prev.is_finite() {
-                cur = prev + wrap_angle(wrap_angle(cur) - wrap_angle(prev));
-                offset = cur - p;
-            }
-            out.push(cur);
-        } else {
-            out.push(p);
-        }
-    }
-    out
-}
-
-/// Turns [`unwrap_phase`] steps through one at a time before it reduces a
-/// jump in closed form. Phases from `arg()` jump by at most one turn.
-const UNWRAP_LOOP_TURNS: u32 = 1 << 16;
 
 /// Removes the linear phase via a *matched-delay* search: finds the slope
 /// `β★ = argmax_β |Σ_k H_k e^{−jβ·idx_k}|` (the delay of the strongest
@@ -475,52 +427,6 @@ pub fn sanitize_snapshot(csi: &mut [Vec<Complex64>], indices: &[i32]) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unwrap_restores_continuity() {
-        // A steep linear phase wraps repeatedly; unwrap must restore it.
-        let true_phase: Vec<f64> = (0..50).map(|k| 0.7 * k as f64).collect();
-        let wrapped: Vec<f64> = true_phase
-            .iter()
-            .map(|&p| rim_dsp::stats::wrap_angle(p))
-            .collect();
-        let unwrapped = unwrap_phase(&wrapped);
-        for (u, t) in unwrapped.iter().zip(&true_phase) {
-            assert!((u - t).abs() < 1e-9, "{u} vs {t}");
-        }
-    }
-
-    #[test]
-    fn unwrap_handles_empty_and_single() {
-        assert!(unwrap_phase(&[]).is_empty());
-        assert_eq!(unwrap_phase(&[1.2]), vec![1.2]);
-    }
-
-    #[test]
-    fn unwrap_returns_on_infinite_and_huge_jumps() {
-        // Subtracting 2π cannot change either value, so a turn-by-turn
-        // loop would never close these jumps.
-        let inf = unwrap_phase(&[0.0, f64::INFINITY]);
-        assert_eq!(inf[0], 0.0);
-        assert_eq!(inf[1], f64::INFINITY, "non-finite entries propagate");
-        let huge = unwrap_phase(&[0.0, 1e300]);
-        assert_eq!(huge[0], 0.0);
-        assert!(huge[1].abs() <= std::f64::consts::PI, "{}", huge[1]);
-        // The entries after either keep unwrapping.
-        let after = unwrap_phase(&[0.0, f64::NEG_INFINITY, 0.5, 0.7, 1e300, 1.1]);
-        assert_eq!(after[1], f64::NEG_INFINITY);
-        assert_eq!(after[2], 0.5);
-        assert_eq!(after[3], 0.7);
-        for w in after[3..].windows(2) {
-            assert!((w[1] - w[0]).abs() <= std::f64::consts::PI, "{after:?}");
-        }
-        // A value so large that 2π is below half its ulp, a small jump away.
-        let stuck = unwrap_phase(&[2f64.powi(56), 2f64.powi(56) + 16.0]);
-        assert!(
-            (stuck[1] - stuck[0]).abs() <= std::f64::consts::PI,
-            "{stuck:?}"
-        );
-    }
 
     #[test]
     fn sanitize_snapshot_covers_all_tx() {

@@ -3,7 +3,7 @@
 //! The paper's workflow records CSI on the device and analyses it later in
 //! MATLAB; this module provides the equivalent capture file. The format is
 //! a small header (rate, subcarrier indices, antenna count) followed by
-//! per-sample length-prefixed [`CsiFrame`](crate::frame::CsiFrame)-encoded
+//! per-sample length-prefixed [`CsiFrame`]-encoded
 //! blocks, with absent frames marking packet loss.
 
 use crate::frame::{CsiFrame, CsiSnapshot, DecodeError};

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rim_channel::SubcarrierLayout;
 use rim_csi::frame::{CsiFrame, CsiSnapshot, DecodeError};
 use rim_csi::recorder::CsiRecording;
-use rim_csi::sanitize::{sanitize_matched_delay, unwrap_phase};
+use rim_csi::sanitize::sanitize_matched_delay;
 use rim_csi::storage::{load_recording, save_recording, LoadError};
 use rim_dsp::complex::{Complex64, ZERO};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -352,28 +352,6 @@ proptest! {
                 matches!(err, Some(DecodeError::Truncated | DecodeError::BadDimension)),
                 "count {count} at {at}: {err:?}"
             );
-        }
-    }
-
-    #[test]
-    fn unwrap_never_jumps_more_than_pi(phases in prop::collection::vec(-10.0f64..10.0, 1..40)) {
-        let u = unwrap_phase(&phases);
-        for w in u.windows(2) {
-            prop_assert!((w[1] - w[0]).abs() <= std::f64::consts::PI + 1e-9);
-        }
-    }
-
-    #[test]
-    fn unwrap_always_returns_and_keeps_finite_entries_finite(
-        phases in prop::collection::vec(
-            prop::sample::select(vec![0.3, -2.9, 1e15, -1e300, 1e300, 7e16]),
-            0..12,
-        ),
-    ) {
-        let u = unwrap_phase(&phases);
-        prop_assert_eq!(u.len(), phases.len());
-        for x in &u {
-            prop_assert!(x.is_finite(), "{:?} -> {:?}", phases, u);
         }
     }
 

@@ -19,7 +19,7 @@
 //! `std::time::Instant` (monotonic), aggregation uses `std::sync::Mutex`
 //! (uncontended in the single-threaded pipeline; the lock exists so a
 //! `Recorder` can be shared across threads), and JSON is a small
-//! self-contained writer/parser in [`json`].
+//! self-contained writer/parser ([`JsonValue`]).
 
 //! Since v2 the crate also carries the serve path's live-telemetry
 //! layer: per-request traces ([`Tracer`], [`TraceRecord`], span taxonomy

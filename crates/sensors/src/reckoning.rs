@@ -101,7 +101,7 @@ fn windowed_deviation(x: &[f64], half: usize) -> Vec<f64> {
 /// A pedestrian step counter: peaks of the low-passed acceleration
 /// magnitude above a threshold, separated by a refractory period.
 /// Distance = steps × stride length — the coarse state of practice for
-/// inertial distance (paper §8, [44]).
+/// inertial distance (paper §8, \[44\]).
 #[derive(Debug, Clone)]
 pub struct StepCounter {
     /// Detection threshold on the band-passed magnitude, m/s².

@@ -69,7 +69,7 @@ impl Client {
     /// on [`Admit::Throttled`] it backs off and offers the sample again
     /// until it is accepted or rejected. The sleep starts at the
     /// server's `retry_after` hint, doubles per consecutive retry up to
-    /// [`MAX_BACKOFF_MS`], and carries jitter (a deterministic xorshift
+    /// `MAX_BACKOFF_MS` (250 ms), and carries jitter (a deterministic xorshift
     /// stream per client) so a fleet of throttled clients does not
     /// retry in lockstep. Events drained across retries are
     /// concatenated in order.

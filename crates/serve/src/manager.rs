@@ -113,8 +113,7 @@ impl ServeConfig {
         self.latency_budget_us
     }
 
-    /// Per-request trace cadence (`0` = fall back to
-    /// [`RimConfig::trace_sample_every`]).
+    /// Per-request trace cadence (`0` = tracing off).
     pub fn trace_every(&self) -> usize {
         self.trace_every
     }
@@ -191,8 +190,11 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Per-request trace cadence (`0` = fall back to the engine's
-    /// [`RimConfig::trace_sample_every`]).
+    /// Per-request trace cadence: trace every Nth admitted sample end to
+    /// end (admission → queue → batch → ingest → flush → wire) into a
+    /// bounded [`rim_obs::TraceRecord`] ring. `0` (the default) disables
+    /// tracing entirely. Tracing is observational: results are
+    /// bit-identical with it on or off.
     pub fn trace_every(mut self, every: usize) -> Self {
         self.cfg.trace_every = every;
         self
@@ -369,8 +371,7 @@ pub struct SessionManager {
     /// the report keeps p50/p95, so tail percentiles come from these.
     latencies: Mutex<Vec<f64>>,
     /// Per-request trace allocation, sampling, and retention (cadence
-    /// from [`ServeConfig::trace_every`], falling back to
-    /// [`RimConfig::trace_sample_every`]; `0` = tracing off).
+    /// from [`ServeConfig::trace_every`]; `0` = tracing off).
     tracer: Tracer,
 }
 
@@ -404,12 +405,7 @@ impl SessionManager {
         fuser: Fuser,
     ) -> Result<Self, Error> {
         let pool = Pool::new(config.threads, 0);
-        let cadence = if serve.trace_every > 0 {
-            serve.trace_every
-        } else {
-            config.trace_sample_every
-        };
-        let tracer = Tracer::new(cadence);
+        let tracer = Tracer::new(serve.trace_every);
         let engine = Rim::new(geometry, config.with_threads(1))?;
         Ok(Self {
             shards: (0..serve.shards)

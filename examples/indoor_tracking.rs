@@ -46,7 +46,7 @@ fn main() {
         trajectory.duration()
     );
 
-    let config = RimConfig::for_sample_rate(fs).with_min_speed(0.3, HALF_WAVELENGTH, fs);
+    let config = RimConfig::for_sample_rate(fs);
     let estimate = simulate_and_analyze(&sim, &geometry, &trajectory, config, 2);
 
     // 1. Pure RIM reconstruction.

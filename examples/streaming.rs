@@ -49,7 +49,7 @@ fn main() {
     .interpolated()
     .unwrap();
 
-    let config = RimConfig::for_sample_rate(fs).with_min_speed(0.3, HALF_WAVELENGTH, fs);
+    let config = RimConfig::for_sample_rate(fs);
     let mut stream = RimStream::new(geometry, config).expect("valid config");
     let mut agg = StreamAggregate::default();
 

@@ -2,7 +2,7 @@
 //!
 //! The container building this workspace has no crates.io access, so this
 //! vendors the property-testing subset the repo's tests rely on: the
-//! [`proptest!`] macro, `prop_assert*` / `prop_assume!`, [`Strategy`] with
+//! [`proptest!`] macro, `prop_assert*` / `prop_assume!`, [`Strategy`](strategy::Strategy) with
 //! `prop_map` / `prop_filter_map`, range and tuple strategies,
 //! `prop::collection::vec`, `prop::option::weighted`, and `any::<T>()`.
 //!
@@ -237,7 +237,7 @@ pub mod collection {
     use super::*;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length ranges accepted by [`vec`].
+    /// Length ranges accepted by [`vec()`].
     pub trait IntoSizeRange {
         /// Inclusive bounds `(min, max)`.
         fn bounds(&self) -> (usize, usize);
@@ -269,7 +269,7 @@ pub mod collection {
         VecStrategy { element, min, max }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         min: usize,

@@ -87,7 +87,6 @@ fn entry_point_signatures_are_stable() {
     let _manager_traces: fn(&SessionManager, usize) -> Vec<TraceRecord> = SessionManager::traces;
     let _client_metrics: fn(&mut Client) -> std::io::Result<String> = Client::metrics;
     let _recorder_window: fn(&Recorder) -> WindowSnapshot = Recorder::window_snapshot;
-    let _config_tracing: fn(RimConfig, usize) -> RimConfig = RimConfig::with_trace_sampling;
     let _config_precision: fn(RimConfig, Precision) -> RimConfig = RimConfig::precision;
     let _trrs_f32: fn(&NormSnapshot, &NormSnapshot) -> f64 = trrs_norm_f32;
     // The alignment stages `perfbench` drives directly.
@@ -103,6 +102,9 @@ fn entry_point_signatures_are_stable() {
         ServeConfigBuilder::build;
     let _budget: fn(&ServeConfig) -> u64 = ServeConfig::latency_budget_us;
     let _io_threads: fn(&ServeConfig) -> usize = ServeConfig::io_threads;
+    // Trace sampling has one knob: the serve configuration's cadence.
+    let _tracing: fn(ServeConfigBuilder, usize) -> ServeConfigBuilder =
+        ServeConfigBuilder::trace_every;
     // Fusion engine v1: validated builder in, streaming filter out.
     let _fuser_builder: fn() -> FuserBuilder = Fuser::builder;
     let _fuser_build: fn(FuserBuilder) -> Result<Fuser, Error> = FuserBuilder::build;

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rim_array::ArrayGeometry;
 use rim_channel::trajectory::{line, stop_and_go, OrientationMode, Trajectory};
 use rim_channel::ChannelSimulator;
-use rim_core::alignment::{base_cross_trrs_range_prec, AlignmentConfig};
+use rim_core::alignment::base_cross_trrs_range_prec;
 use rim_core::{trrs_norm, NormSnapshot, Precision, RimConfig, RimStream, StreamEvent};
 use rim_csi::frame::CsiSnapshot;
 use rim_csi::{CsiRecorder, DeviceConfig, RecorderConfig};
@@ -145,12 +145,12 @@ proptest! {
     }
 }
 
-/// The production kernel shape the proptest above cannot reach: the
-/// default lag window at the paper's 200 Hz (W = 100) over a 240-sample
-/// series of 56 subcarriers.
+/// A kernel shape the proptest above cannot reach, and the f32 gate's
+/// workload: a 100-lag window (0.5 s at the paper's 200 Hz) over a
+/// 240-sample series of 56 subcarriers.
 #[test]
 fn f64_reference_is_bit_identical_at_the_production_window() {
-    let window = AlignmentConfig::for_sample_rate(200.0).window;
+    let window = 100;
     assert_tier_and_thread_invariant(&series(1, 240, 1, 56), &series(7, 240, 1, 56), window);
 }
 
@@ -244,11 +244,11 @@ fn f32_fast_stays_inside_its_error_budget_on_a_200_hz_walk() {
         fs,
         OrientationMode::Fixed(0.0),
     );
-    let cfg = RimConfig::for_sample_rate(fs).with_min_speed(0.3, SPACING, fs);
+    let cfg = RimConfig::for_sample_rate(fs);
     assert_f32_inside_budget(&ChannelSimulator::open_lab(11), &walk, cfg, 11);
 }
 
-/// On AVX2 the f32 fast path computes the production-shape matrix at
+/// On AVX2 the f32 fast path computes the W = 100 matrix above at
 /// least 5× faster than the per-entry scalar f64 reference (serial pool).
 /// Each side of a pair times at least 0.2 s of repeated builds, and the
 /// gate reads the median speedup of 9 interleaved pairs. Other tiers are
@@ -259,7 +259,7 @@ fn f32_fast_path_is_at_least_5x_the_scalar_reference_on_avx2() {
     let _serial = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let tier = active_tier();
     let (t_len, n_sub) = (240, 56);
-    let window = AlignmentConfig::for_sample_rate(200.0).window;
+    let window = 100;
     let a = series(1, t_len, 1, n_sub);
     let b = series(7, t_len, 1, n_sub);
     let pool = Pool::serial();

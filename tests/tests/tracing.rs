@@ -102,8 +102,11 @@ fn stream_events(recording: &CsiRecording, traced: bool) -> Vec<StreamEvent> {
 fn serve_events(recording: &CsiRecording, trace_every: usize) -> (Vec<StreamEvent>, usize) {
     let manager = SessionManager::new(
         geometry(),
-        config(0.3).with_trace_sampling(trace_every),
-        ServeConfig::default(),
+        config(0.3),
+        ServeConfig::builder()
+            .trace_every(trace_every)
+            .build()
+            .expect("valid serve config"),
     )
     .expect("valid config");
     let mut events = Vec::new();
@@ -159,8 +162,11 @@ fn metrics_snapshot_round_trips_over_loopback_with_queue_wait_spans() {
     let manager = Arc::new(
         SessionManager::new(
             geometry(),
-            config(0.3).with_trace_sampling(1),
-            ServeConfig::default(),
+            config(0.3),
+            ServeConfig::builder()
+                .trace_every(1)
+                .build()
+                .expect("valid serve config"),
         )
         .expect("valid config"),
     );
@@ -216,7 +222,7 @@ fn metrics_snapshot_round_trips_over_loopback_with_queue_wait_spans() {
 fn tracing_every_sample_costs_at_most_5_percent_of_ingest_p50() {
     let fs = 200.0;
     let dense = recording_at(fs).interpolated().expect("interpolable");
-    let cfg = RimConfig::for_sample_rate(fs).with_min_speed(0.3, SPACING, fs);
+    let cfg = RimConfig::for_sample_rate(fs);
     let p50_us = |traced: bool| -> f64 {
         let mut lat_us = Vec::new();
         timed_reps(0.4, || {
