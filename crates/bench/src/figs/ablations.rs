@@ -17,7 +17,7 @@ use rim_channel::ChannelSimulator;
 use rim_core::alignment::{alignment_matrix, AlignmentConfig};
 use rim_core::tracking_dp::{track_peaks, DpConfig};
 use rim_core::trrs::NormSnapshot;
-use rim_core::Rim;
+use rim_core::{Rim, RimConfig};
 use rim_csi::recorder::DenseCsi;
 use rim_csi::{CsiRecorder, DeviceConfig, HardwareProfile, LossModel, RecorderConfig};
 
@@ -136,7 +136,7 @@ pub fn run(fast: bool) -> Report {
             .record(&traj)
             .interpolated()
             .unwrap();
-            let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+            let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
                 .unwrap()
                 .analyze(&dense)
                 .unwrap();
@@ -175,7 +175,7 @@ pub fn run(fast: bool) -> Report {
                     }
                 }
             }
-            let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+            let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
                 .unwrap()
                 .analyze(&dense)
                 .unwrap();
@@ -201,7 +201,7 @@ pub fn run(fast: bool) -> Report {
             let sim = ChannelSimulator::open_lab(7 + k as u64);
             let traj = make_traj(k);
             let dense = env::record(&sim, g, &traj, 330 + k as u64, LossModel::None, Some(noisy));
-            let est = Rim::new((*g).clone(), env::rim_config(fs, 0.3))
+            let est = Rim::new((*g).clone(), RimConfig::for_sample_rate(fs))
                 .unwrap()
                 .analyze(&dense)
                 .unwrap();
@@ -218,7 +218,7 @@ pub fn run(fast: bool) -> Report {
             let sim = ChannelSimulator::open_lab(7 + k as u64);
             let traj = make_traj(k);
             let dense = env::record(&sim, &geo, &traj, 340 + k as u64, LossModel::None, None);
-            let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+            let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
                 .unwrap()
                 .analyze(&dense)
                 .unwrap();
@@ -281,7 +281,7 @@ pub fn run(fast: bool) -> Report {
                         }
                     }
                 }
-                let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+                let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
                     .unwrap()
                     .analyze(&dense)
                     .unwrap();

@@ -12,6 +12,7 @@ use crate::report::{ErrorStats, Report};
 use rim_channel::trajectory::{line, OrientationMode};
 use rim_channel::ChannelSimulator;
 use rim_core::stream::{RimStream, StreamAggregate};
+use rim_core::RimConfig;
 use rim_csi::{synced_from_recording, CsiRecorder, LossModel, RecorderConfig};
 
 /// Runs the experiment.
@@ -70,7 +71,7 @@ pub fn run(fast: bool) -> Report {
                 m => clean.degrade(m, 900 + k as u64),
             };
             let mut stream =
-                RimStream::new(geo.clone(), env::rim_config(fs, 0.3)).expect("valid config");
+                RimStream::new(geo.clone(), RimConfig::for_sample_rate(fs)).expect("valid config");
             let mut agg = StreamAggregate::default();
             for sample in synced_from_recording(&lossy) {
                 agg.absorb(&stream.ingest(sample).expect("ingest never errors"));

@@ -11,7 +11,7 @@ use rim_channel::ChannelSimulator;
 use rim_core::alignment::{alignment_matrix, AlignmentConfig};
 use rim_core::tracking_dp::{track_peaks, DpConfig};
 use rim_core::trrs::NormSnapshot;
-use rim_core::{AlignmentMatrix, Rim};
+use rim_core::{AlignmentMatrix, Rim, RimConfig};
 use rim_csi::LossModel;
 
 /// Runs the experiment.
@@ -84,7 +84,7 @@ pub fn run(fast: bool) -> Report {
             OrientationMode::Fixed(0.0),
         );
         let dense = env::record(&sim, &geo, &traj, seed + 9, LossModel::None, None);
-        let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+        let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
             .unwrap()
             .analyze(&dense)
             .unwrap();

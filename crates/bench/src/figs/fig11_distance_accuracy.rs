@@ -7,7 +7,7 @@ use crate::env::{self, linear_array};
 use crate::report::{cdf_row, ErrorStats, Report};
 use rim_channel::trajectory::{line, OrientationMode};
 use rim_channel::ChannelSimulator;
-use rim_core::Rim;
+use rim_core::{Rim, RimConfig};
 use rim_csi::LossModel;
 use rim_dsp::geom::{Point2, Vec2};
 
@@ -56,7 +56,7 @@ pub fn run(fast: bool) -> Report {
             OrientationMode::Fixed(0.0),
         );
         let dense = env::record(&sim, &geo, &traj, k as u64, LossModel::None, None);
-        let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+        let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
             .unwrap()
             .analyze(&dense)
             .unwrap();
@@ -91,7 +91,7 @@ pub fn run(fast: bool) -> Report {
             let is_los = sim.tracer().floorplan().is_los(sim.ap().pos, mid);
             debug_assert_eq!(is_los, class == "los", "AP {ap} trace {k}");
             let dense = env::record(&sim, &geo, &traj, 31 + k as u64, LossModel::None, None);
-            let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+            let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
                 .unwrap()
                 .analyze(&dense)
                 .unwrap();

@@ -8,7 +8,7 @@ use crate::env::{self, hexagonal_array};
 use crate::report::{ErrorStats, Report};
 use rim_channel::trajectory::{line, OrientationMode};
 use rim_channel::ChannelSimulator;
-use rim_core::Rim;
+use rim_core::{Rim, RimConfig};
 use rim_csi::LossModel;
 use rim_dsp::stats::angle_diff;
 
@@ -43,7 +43,7 @@ pub fn run(fast: bool) -> Report {
             OrientationMode::Fixed(0.0),
         );
         let dense = env::record(&sim, &geo, &traj, k as u64, LossModel::None, None);
-        let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+        let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
             .unwrap()
             .analyze(&dense)
             .unwrap();
@@ -99,7 +99,7 @@ pub fn run(fast: bool) -> Report {
             OrientationMode::Fixed(0.0),
         );
         let dense = env::record(&sim, &geo, &traj, k as u64, LossModel::None, None);
-        let mut config = env::rim_config(fs, 0.3);
+        let mut config = RimConfig::for_sample_rate(fs);
         config.continuous_heading = true;
         let est = Rim::new(geo.clone(), config)
             .unwrap()

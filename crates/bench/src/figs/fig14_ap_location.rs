@@ -9,7 +9,7 @@ use crate::env::{self, linear_array};
 use crate::report::{ErrorStats, Report};
 use rim_channel::trajectory::{line, OrientationMode};
 use rim_channel::ChannelSimulator;
-use rim_core::Rim;
+use rim_core::{Rim, RimConfig};
 use rim_csi::LossModel;
 use rim_dsp::geom::Point2;
 
@@ -51,7 +51,7 @@ pub fn run(fast: bool) -> Report {
                 LossModel::None,
                 None,
             );
-            let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+            let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
                 .unwrap()
                 .analyze(&dense)
                 .unwrap();

@@ -8,7 +8,7 @@ use crate::env::{self, linear_array};
 use crate::report::Report;
 use rim_channel::trajectory::{line, OrientationMode};
 use rim_channel::ChannelSimulator;
-use rim_core::Rim;
+use rim_core::{Rim, RimConfig};
 use rim_csi::LossModel;
 use rim_dsp::geom::Point2;
 use rim_dsp::stats::median;
@@ -32,7 +32,7 @@ pub fn run(fast: bool) -> Report {
         let start = Point2::new(4.0 + (k % 2) as f64, 9.5 + 2.7 * (k % 3) as f64);
         let traj = line(start, 0.0, 10.0, 1.0, fs, OrientationMode::FollowPath);
         let dense = env::record(&sim, &geo, &traj, 41 + k as u64, LossModel::None, None);
-        let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+        let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
             .unwrap()
             .analyze(&dense)
             .unwrap();

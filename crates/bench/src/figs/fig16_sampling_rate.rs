@@ -8,7 +8,7 @@ use crate::env::{self, linear_array};
 use crate::report::{ErrorStats, Report};
 use rim_channel::trajectory::{line, OrientationMode};
 use rim_channel::ChannelSimulator;
-use rim_core::Rim;
+use rim_core::{Rim, RimConfig};
 use rim_csi::LossModel;
 
 /// Runs the experiment.
@@ -57,7 +57,7 @@ pub fn run(fast: bool) -> Report {
                 let dec = rec.decimate(factor);
                 // The lag window in *samples* shrinks with the rate; keep
                 // the same minimum-speed coverage.
-                let mut config = env::rim_config(rate, 0.3);
+                let mut config = RimConfig::for_sample_rate(rate);
                 config.subsample_refinement = refinement;
                 let est = Rim::new(geo.clone(), config)
                     .unwrap()

@@ -8,7 +8,7 @@ use crate::env::{self, linear_array};
 use crate::report::{ErrorStats, Report};
 use rim_channel::trajectory::{line, OrientationMode};
 use rim_channel::ChannelSimulator;
-use rim_core::Rim;
+use rim_core::{Rim, RimConfig};
 use rim_csi::{HardwareProfile, LossModel};
 
 /// Runs the experiment.
@@ -59,7 +59,7 @@ pub fn run(fast: bool) -> Report {
     for v in [1usize, 5, 10, 50, 100] {
         let mut errors = Vec::new();
         for (rec, &truth) in recordings.iter().zip(&truths) {
-            let mut config = env::rim_config(fs, 0.3);
+            let mut config = RimConfig::for_sample_rate(fs);
             config.alignment.virtual_antennas = v;
             let est = Rim::new(geo.clone(), config).unwrap().analyze(rec).unwrap();
             errors.push((est.total_distance() - truth).abs());

@@ -9,7 +9,7 @@ use crate::env::{self, hexagonal_array};
 use crate::report::Report;
 use rim_channel::trajectory::{polyline, OrientationMode};
 use rim_channel::ChannelSimulator;
-use rim_core::Rim;
+use rim_core::{Rim, RimConfig};
 use rim_csi::LossModel;
 use rim_dsp::geom::Point2;
 use rim_tracking::metrics::mean_projection_error;
@@ -60,7 +60,7 @@ pub fn run(fast: bool) -> Report {
         let traj = polyline(&wps, 1.0, fs, OrientationMode::Fixed(0.0));
         let truth: Vec<Point2> = traj.poses().iter().map(|p| p.pos).collect();
         let dense = env::record(&sim, &geo, &traj, 90 + idx as u64, LossModel::None, None);
-        let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+        let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
             .unwrap()
             .analyze(&dense)
             .unwrap();

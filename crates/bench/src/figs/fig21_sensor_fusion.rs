@@ -9,7 +9,7 @@ use crate::env::{self, linear_array};
 use crate::report::Report;
 use rim_channel::trajectory::{polyline, OrientationMode};
 use rim_channel::{office_floorplan, ChannelSimulator};
-use rim_core::Rim;
+use rim_core::{Rim, RimConfig};
 use rim_csi::LossModel;
 use rim_dsp::geom::Point2;
 use rim_sensors::{ImuConfig, SimulatedImu};
@@ -47,7 +47,7 @@ pub fn run(fast: bool) -> Report {
     let truth: Vec<Point2> = traj.poses().iter().map(|p| p.pos).collect();
 
     let dense = env::record(&sim, &geo, &traj, 7, LossModel::None, None);
-    let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+    let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
         .unwrap()
         .analyze(&dense)
         .unwrap();

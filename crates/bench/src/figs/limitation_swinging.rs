@@ -12,7 +12,7 @@ use crate::env::{self, hexagonal_array};
 use crate::report::{ErrorStats, Report};
 use rim_channel::trajectory::arc;
 use rim_channel::ChannelSimulator;
-use rim_core::Rim;
+use rim_core::{Rim, RimConfig};
 use rim_csi::LossModel;
 use rim_dsp::geom::Point2;
 
@@ -43,7 +43,7 @@ pub fn run(fast: bool) -> Report {
             fs,
         );
         let dense = env::record(&sim, &geo, &traj, 400 + k as u64, LossModel::None, None);
-        let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+        let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
             .unwrap()
             .analyze(&dense)
             .unwrap();

@@ -11,7 +11,7 @@ use rim_channel::{
     uniform_field, walking_humans, ApConfig, ChannelSimulator, Floorplan, RayTracer,
     SubcarrierLayout, TracerConfig,
 };
-use rim_core::Rim;
+use rim_core::{Rim, RimConfig};
 use rim_csi::LossModel;
 use rim_dsp::geom::Point2;
 
@@ -62,7 +62,7 @@ pub fn run(fast: bool) -> Report {
                 OrientationMode::FollowPath,
             );
             let dense = env::record(&sim, &geo, &traj, 200 + k as u64, LossModel::None, None);
-            let est = Rim::new(geo.clone(), env::rim_config(fs, 0.3))
+            let est = Rim::new(geo.clone(), RimConfig::for_sample_rate(fs))
                 .unwrap()
                 .analyze(&dense)
                 .unwrap();

@@ -29,7 +29,7 @@
 use crate::env;
 use rim_channel::trajectory::{dwell, line, OrientationMode, Trajectory};
 use rim_channel::ChannelSimulator;
-use rim_core::{ImuSample, RimStream, StreamEvent};
+use rim_core::{ImuSample, RimConfig, RimStream, StreamEvent};
 use rim_csi::{synced_from_recording, CsiRecorder, RecorderConfig};
 use rim_dsp::geom::{Point2, Vec2};
 use rim_dsp::stats::wrap_angle;
@@ -176,8 +176,9 @@ fn run(fs: f64) -> Outcome {
         .accel_noise(0.3)
         .build()
         .expect("fusion knobs are valid");
-    let mut fused = fuser.stream(RimStream::new(geo.clone(), env::rim_config(fs, 0.3)).unwrap());
-    let mut rim_only = RimStream::new(geo, env::rim_config(fs, 0.3)).unwrap();
+    let mut fused =
+        fuser.stream(RimStream::new(geo.clone(), RimConfig::for_sample_rate(fs)).unwrap());
+    let mut rim_only = RimStream::new(geo, RimConfig::for_sample_rate(fs)).unwrap();
     let mut reckoner = RimDeadReckoner {
         position: start,
         orientation: 0.0,

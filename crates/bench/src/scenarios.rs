@@ -33,7 +33,7 @@ use rim_array::ArrayGeometry;
 use rim_channel::scenarios as zoo;
 use rim_channel::trajectory::{line, OrientationMode, Trajectory};
 use rim_channel::{ChannelSimulator, SubcarrierLayout};
-use rim_core::{ImuSample, Rim, RimStream};
+use rim_core::{ImuSample, Rim, RimConfig, RimStream};
 use rim_csi::{synced_from_recording, CsiRecorder, RecorderConfig};
 use rim_dsp::geom::Point2;
 use rim_dsp::stats::median;
@@ -222,7 +222,8 @@ fn run_cell(scenario: &zoo::ScenarioSpec, device: &DeviceSpec, fast: bool, k: us
     let dense = recording
         .interpolated()
         .expect("lossless recording interpolates");
-    let rim = Rim::new(geo.clone(), env::rim_config(fs, 0.3)).expect("device geometry is valid");
+    let rim =
+        Rim::new(geo.clone(), RimConfig::for_sample_rate(fs)).expect("device geometry is valid");
     let est = rim.analyze(&dense).expect("zoo cell analyzes cleanly");
     let track = est.trajectory(start, traj.pose(0).orientation);
     let n = track.len().min(traj.len());
@@ -245,8 +246,9 @@ fn run_cell(scenario: &zoo::ScenarioSpec, device: &DeviceSpec, fast: bool, k: us
         .accel_noise(0.3)
         .build()
         .expect("fusion knobs are valid");
-    let mut fused = fuser.stream(RimStream::new(geo.clone(), env::rim_config(fs, 0.3)).unwrap());
-    let mut rim_only = RimStream::new(geo, env::rim_config(fs, 0.3)).unwrap();
+    let mut fused =
+        fuser.stream(RimStream::new(geo.clone(), RimConfig::for_sample_rate(fs)).unwrap());
+    let mut rim_only = RimStream::new(geo, RimConfig::for_sample_rate(fs)).unwrap();
     let mut reckoner = RimDeadReckoner {
         position: start,
         orientation: 0.0,

@@ -14,8 +14,8 @@
 //! reordered by two unsynchronised NICs. The stream therefore ingests
 //! *sequence-numbered, possibly-incomplete* samples through a
 //! [`GapFilter`]: short gaps (up to 100 ms of samples) are bridged by
-//! linear interpolation with the same arithmetic as
-//! [`rim_dsp::interp::fill_gaps_complex`], long gaps split the open
+//! linear interpolation through [`CsiSnapshot::lerp`], the batch repair's
+//! own expression, long gaps split the open
 //! segment instead of silently integrating garbage, and duplicates /
 //! stale reorders are dropped idempotently. A watchdog monitors input
 //! continuity and alignment quality and emits
@@ -290,8 +290,9 @@ pub enum DropReason {
 /// Sequence-number bookkeeping in front of the ring: detects missing,
 /// duplicate, and out-of-order samples, repairs per-antenna holes by
 /// holding the last measured value, and bridges whole-sample gaps of at
-/// most `max_gap` by linear interpolation (bit-identical to
-/// [`rim_dsp::interp::fill_gaps_complex`] on the same data).
+/// most `max_gap` by linear interpolation ([`CsiSnapshot::lerp`], the
+/// expression [`rim_csi::CsiRecording::interpolated`] bridges with, so a
+/// streamed repair is bit-identical to the batch repair of the same data).
 #[derive(Debug)]
 pub struct GapFilter {
     n_antennas: usize,
@@ -427,8 +428,8 @@ impl GapFilter {
             }])
         } else if gap <= self.max_gap {
             // Bridge: interpolate the missing samples between the last
-            // delivered one (at `expected - 1`) and the offered one with
-            // the batch repair's exact arithmetic.
+            // delivered one (at `expected - 1`) and the offered one at the
+            // batch repair's `t = k / (gap + 1)`.
             let span = (gap + 1) as f64;
             let mut out = Vec::with_capacity(gap + 1);
             for step in 0..gap {
@@ -437,7 +438,7 @@ impl GapFilter {
                     .last
                     .iter()
                     .zip(&snapshots)
-                    .map(|(l, r)| lerp_snapshot(l, r, t))
+                    .map(|(l, r)| l.lerp(r, t))
                     .collect();
                 out.push(GapSample {
                     seq: expected + step as u64,
@@ -487,25 +488,6 @@ fn copy_snapshot_into(dst: &mut CsiSnapshot, src: &CsiSnapshot) {
     for (d, s) in dst.per_tx.iter_mut().zip(&src.per_tx) {
         d.clear();
         d.extend_from_slice(s);
-    }
-}
-
-/// Component-wise linear interpolation between two snapshots, using the
-/// same expression as [`rim_dsp::interp::fill_gaps_complex`] so streamed
-/// repairs are bit-identical to batch repairs of the same gap.
-fn lerp_snapshot(l: &CsiSnapshot, r: &CsiSnapshot, t: f64) -> CsiSnapshot {
-    CsiSnapshot {
-        per_tx: l
-            .per_tx
-            .iter()
-            .zip(&r.per_tx)
-            .map(|(lc, rc)| {
-                lc.iter()
-                    .zip(rc)
-                    .map(|(&lv, &rv)| lv + (rv - lv).scale(t))
-                    .collect()
-            })
-            .collect(),
     }
 }
 

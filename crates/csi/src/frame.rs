@@ -36,6 +36,27 @@ impl CsiSnapshot {
             .iter()
             .all(|cfr| cfr.iter().all(|h| h.is_finite()))
     }
+
+    /// The entry-wise linear interpolation `self + (other − self)·t`: the
+    /// one expression loss repair uses, batch
+    /// ([`crate::CsiRecording::interpolated`]) and streamed alike, so the
+    /// two repair a gap bit for bit the same way. Entries past the shorter
+    /// operand's TX count or CFR length are dropped.
+    pub fn lerp(&self, other: &CsiSnapshot, t: f64) -> CsiSnapshot {
+        CsiSnapshot {
+            per_tx: self
+                .per_tx
+                .iter()
+                .zip(&other.per_tx)
+                .map(|(l, r)| {
+                    l.iter()
+                        .zip(r)
+                        .map(|(&lv, &rv)| lv + (rv - lv).scale(t))
+                        .collect()
+                })
+                .collect(),
+        }
+    }
 }
 
 /// One packet's CSI as reported by one NIC: a snapshot per RX antenna plus
@@ -138,13 +159,11 @@ impl CsiFrame {
                 if buf.remaining() < n_sc as usize * 16 {
                     return Err(DecodeError::Truncated);
                 }
-                let mut cfr = Vec::with_capacity(n_sc as usize);
-                for _ in 0..n_sc {
-                    let re = buf.get_f64();
-                    let im = buf.get_f64();
-                    cfr.push(Complex64::new(re, im));
-                }
-                per_tx.push(cfr);
+                // One split per CFR, then fixed-size chunks: the length
+                // check above covers every entry, so no read re-checks it.
+                let (body, rest) = buf.split_at(n_sc as usize * 16);
+                buf = rest;
+                per_tx.push(body.as_chunks::<16>().0.iter().map(decode_entry).collect());
             }
             rx.push(CsiSnapshot { per_tx });
         }
@@ -154,6 +173,15 @@ impl CsiFrame {
             rx,
         })
     }
+}
+
+/// One wire CFR entry: big-endian real then imaginary part.
+fn decode_entry(entry: &[u8; 16]) -> Complex64 {
+    let bits = u128::from_be_bytes(*entry);
+    Complex64::new(
+        f64::from_bits((bits >> 64) as u64),
+        f64::from_bits(bits as u64),
+    )
 }
 
 #[cfg(test)]

@@ -16,7 +16,6 @@ use rim_channel::simulator::ChannelSimulator;
 use rim_channel::trajectory::Trajectory;
 use rim_dsp::complex::Complex64;
 use rim_dsp::geom::Vec2;
-use rim_dsp::interp::fill_gaps_complex;
 
 /// Configuration of one NIC on the tracked device.
 #[derive(Debug, Clone)]
@@ -200,27 +199,7 @@ impl CsiRecording {
             if !rectangular {
                 return None;
             }
-            let mut dense: Vec<CsiSnapshot> = (0..n_samples)
-                .map(|_| CsiSnapshot {
-                    per_tx: vec![vec![rim_dsp::complex::ZERO; n_sc]; n_tx],
-                })
-                .collect();
-            let mut lane = Vec::with_capacity(n_samples);
-            for tx in 0..n_tx {
-                for sc in 0..n_sc {
-                    lane.clear();
-                    lane.extend(
-                        series
-                            .iter()
-                            .map(|s| s.as_ref().map(|snap| snap.per_tx[tx][sc])),
-                    );
-                    let filled = fill_gaps_complex(&lane)?;
-                    for (i, v) in filled.into_iter().enumerate() {
-                        dense[i].per_tx[tx][sc] = v;
-                    }
-                }
-            }
-            antennas.push(dense);
+            antennas.push(fill_gaps(series));
         }
         Some(DenseCsi {
             sample_rate_hz: self.sample_rate_hz,
@@ -228,6 +207,39 @@ impl CsiRecording {
             antennas,
         })
     }
+}
+
+/// Copy-then-fill repair of one rectangular antenna series: present
+/// snapshots are cloned in order, a leading run holds the first present
+/// one, a trailing run the last, and each interior run of `m` is bridged
+/// by [`CsiSnapshot::lerp`] at `t = k / (m + 1)` — per entry exactly what
+/// [`rim_dsp::interp::fill_gaps_complex`] does to every TX × subcarrier
+/// lane, without gathering the lanes. The series holds at least one
+/// snapshot.
+fn fill_gaps(series: &[Option<CsiSnapshot>]) -> Vec<CsiSnapshot> {
+    let mut dense: Vec<CsiSnapshot> = Vec::with_capacity(series.len());
+    let mut missing = 0;
+    for snap in series {
+        let Some(snap) = snap else {
+            missing += 1;
+            continue;
+        };
+        if let Some(left) = dense.len().checked_sub(1) {
+            let span = (missing + 1) as f64;
+            for step in 1..=missing {
+                let bridged = dense[left].lerp(snap, step as f64 / span);
+                dense.push(bridged);
+            }
+        } else {
+            dense.extend((0..missing).map(|_| snap.clone()));
+        }
+        dense.push(snap.clone());
+        missing = 0;
+    }
+    if let Some(last) = dense.last().filter(|_| missing > 0).cloned() {
+        dense.resize(series.len(), last);
+    }
+    dense
 }
 
 /// A gap-free CSI series (after interpolation), the input the RIM core

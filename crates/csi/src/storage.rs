@@ -100,18 +100,21 @@ pub fn save_recording<W: Write>(rec: &CsiRecording, mut w: W) -> io::Result<()> 
 /// # Errors
 /// [`LoadError::Io`] when reading fails, [`LoadError::Frame`] when a frame
 /// block does not decode, and [`LoadError::Corrupt`] for any structural
-/// fault: a bad header, a truncation, a presence bitmap that disagrees
-/// with its frame, or a ragged series (a CFR whose length differs from
-/// the header's subcarrier count, or a snapshot whose TX count differs
-/// from the first present snapshot's). A loaded recording is therefore
-/// rectangular, so [`CsiRecording::interpolated`] can index it.
+/// fault: a bad header, a truncation, bytes after the header's last
+/// sample, a presence byte other than 0 or 1, a presence bitmap whose
+/// present count differs from its frame's snapshot count, or a ragged
+/// series (a CFR whose length differs from the header's subcarrier count,
+/// or a snapshot whose TX count differs from the first present
+/// snapshot's). A loaded recording is therefore rectangular, so
+/// [`CsiRecording::interpolated`] can index it.
 pub fn load_recording<R: Read>(mut r: R) -> Result<CsiRecording, LoadError> {
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)?;
-    let mut cur = &buf[..];
-    if cur.remaining() < 4 + 2 + 8 + 12 {
-        return Err(LoadError::Corrupt("truncated header"));
-    }
+    // One buffer for the header, the subcarrier table and every frame
+    // block, and one for every sample's presence bitmap and block length:
+    // the capture streams through them instead of being copied whole.
+    let mut block = Vec::new();
+    let mut head = Vec::new();
+    read_block(&mut r, 4 + 2 + 8 + 12, &mut block, "truncated header")?;
+    let mut cur = &block[..];
     if cur.get_u32() != CAPTURE_MAGIC {
         return Err(LoadError::Corrupt("bad magic"));
     }
@@ -128,36 +131,33 @@ pub fn load_recording<R: Read>(mut r: R) -> Result<CsiRecording, LoadError> {
     if n_ant > 64 || n_sc > 4096 {
         return Err(LoadError::Corrupt("implausible dimensions"));
     }
-    if cur.remaining() < n_sc * 4 {
-        return Err(LoadError::Corrupt("truncated subcarrier table"));
-    }
-    let mut subcarrier_indices = Vec::with_capacity(n_sc);
-    for _ in 0..n_sc {
-        subcarrier_indices.push(cur.get_i32());
-    }
+    read_block(&mut r, n_sc * 4, &mut block, "truncated subcarrier table")?;
+    let subcarrier_indices = block
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|b| i32::from_be_bytes(*b))
+        .collect();
 
-    // Every sample takes at least its bitmap and block length, so the
-    // bytes left bound the presize, whatever the header claims.
-    let backed = n_samples.min(cur.remaining() / (n_ant + 4));
-    let mut antennas: Vec<Vec<Option<CsiSnapshot>>> = vec![Vec::with_capacity(backed); n_ant];
+    // The series grow as samples arrive, so a header claiming more
+    // samples than the bytes hold presizes nothing.
+    let mut antennas: Vec<Vec<Option<CsiSnapshot>>> = vec![Vec::new(); n_ant];
     let mut n_tx = None;
     for _ in 0..n_samples {
-        if cur.remaining() < n_ant + 4 {
-            return Err(LoadError::Corrupt("truncated sample"));
+        read_block(&mut r, n_ant + 4, &mut head, "truncated sample")?;
+        let (bitmap, mut len) = head.split_at(n_ant);
+        if bitmap.iter().any(|&b| b > 1) {
+            return Err(LoadError::Corrupt("presence byte other than 0 or 1"));
         }
-        let mut present = Vec::with_capacity(n_ant);
-        for _ in 0..n_ant {
-            present.push(cur.get_u8() == 1);
+        let len = len.get_u32() as usize;
+        read_block(&mut r, len, &mut block, "truncated frame block")?;
+        let frame = CsiFrame::decode(&block)?;
+        if frame.rx.len() != bitmap.iter().filter(|&&b| b == 1).count() {
+            return Err(LoadError::Corrupt("bitmap/frame mismatch"));
         }
-        let len = cur.get_u32() as usize;
-        if cur.remaining() < len {
-            return Err(LoadError::Corrupt("truncated frame block"));
-        }
-        let frame = CsiFrame::decode(&cur[..len])?;
-        cur.advance(len);
         let mut it = frame.rx.into_iter();
-        for (a, &p) in present.iter().enumerate() {
-            if p {
+        for (series, &b) in antennas.iter_mut().zip(bitmap) {
+            if b == 1 {
                 let snap = it
                     .next()
                     .ok_or(LoadError::Corrupt("bitmap/frame mismatch"))?;
@@ -171,17 +171,42 @@ pub fn load_recording<R: Read>(mut r: R) -> Result<CsiRecording, LoadError> {
                         "TX count differs from the first snapshot's",
                     ));
                 }
-                antennas[a].push(Some(snap));
+                series.push(Some(snap));
             } else {
-                antennas[a].push(None);
+                series.push(None);
             }
         }
     }
+    head.clear();
+    r.take(1).read_to_end(&mut head)?;
+    if !head.is_empty() {
+        return Err(LoadError::Corrupt("bytes after the last sample"));
+    }
+    // Growth left up to half of each series' capacity unused; the
+    // recording lives through the whole analysis, so return it.
+    antennas.iter_mut().for_each(Vec::shrink_to_fit);
     Ok(CsiRecording {
         sample_rate_hz,
         subcarrier_indices,
         antennas,
     })
+}
+
+/// Replaces `buf`'s contents with the next `n` bytes of `r`. The buffer
+/// grows only as bytes arrive, so a length read from a corrupt capture
+/// cannot size an allocation the input does not back.
+fn read_block<R: Read>(
+    r: &mut R,
+    n: usize,
+    buf: &mut Vec<u8>,
+    truncated: &'static str,
+) -> Result<(), LoadError> {
+    buf.clear();
+    r.by_ref().take(n as u64).read_to_end(buf)?;
+    if buf.len() < n {
+        return Err(LoadError::Corrupt(truncated));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -285,6 +310,57 @@ mod tests {
             antennas: vec![vec![Some(snap(2, 3)); 2], vec![Some(snap(2, 3)); 3]],
         };
         assert!(uneven_len.interpolated().is_none(), "ragged sample count");
+    }
+
+    /// A presence bitmap that disagrees with its frame used to load: a
+    /// cleared or non-binary byte shifted later antennas' CSI onto
+    /// earlier ones and dropped the frame's last snapshot, and bytes past
+    /// the last sample were ignored.
+    #[test]
+    fn corrupt_bitmaps_and_trailing_bytes_are_typed_errors() {
+        let snap = |tag: f64| CsiSnapshot {
+            per_tx: vec![vec![Complex64::new(tag, -tag); 2]],
+        };
+        let rec = CsiRecording {
+            sample_rate_hz: 100.0,
+            subcarrier_indices: vec![-1, 1],
+            antennas: vec![
+                vec![Some(snap(1.0)), Some(snap(4.0))],
+                vec![Some(snap(2.0)), None],
+                vec![Some(snap(3.0)), Some(snap(6.0))],
+            ],
+        };
+        let mut buf = Vec::new();
+        save_recording(&rec, &mut buf).unwrap();
+        load_recording(&buf[..]).unwrap();
+        // Header (26 B plus the subcarrier table), then sample 0's bitmap.
+        let bitmap = 26 + 4 * rec.subcarrier_indices.len();
+        let corrupt = |at: usize, byte: u8| {
+            let mut bad = buf.clone();
+            bad[at] = byte;
+            match load_recording(&bad[..]) {
+                Err(LoadError::Corrupt(what)) => what,
+                other => panic!("byte {at} = {byte}: {other:?}"),
+            }
+        };
+        assert!(corrupt(bitmap + 1, 2).contains("presence byte"));
+        assert!(corrupt(bitmap + 1, 0).contains("bitmap/frame"));
+        // Sample 1 lost antenna 1; claiming it present leaves the frame
+        // one snapshot short.
+        let sample_1 = bitmap
+            + 3
+            + 4
+            + (buf[bitmap + 3..bitmap + 7].iter()).fold(0usize, |n, &b| n << 8 | b as usize);
+        assert_eq!(buf[sample_1 + 1], 0);
+        assert!(corrupt(sample_1 + 1, 1).contains("bitmap/frame"));
+        for tail in [&[0u8][..], &buf[bitmap..]] {
+            let mut long = buf.clone();
+            long.extend_from_slice(tail);
+            assert!(matches!(
+                load_recording(&long[..]),
+                Err(LoadError::Corrupt(what)) if what.contains("after the last sample")
+            ));
+        }
     }
 
     #[test]

@@ -7,15 +7,20 @@
 //! reader gets the same treatment, with ragged shapes (snapshots whose TX
 //! count or CFR length disagree) among its inputs. Allocation sizes are
 //! observed with a counting global allocator that records, per thread,
-//! the largest single request while a decode runs.
+//! the largest single request while a decode runs. Loss repair
+//! (`CsiRecording::interpolated`) is checked bit for bit against a
+//! per-lane `fill_gaps_complex` reference.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rim_channel::SubcarrierLayout;
 use rim_csi::frame::{CsiFrame, CsiSnapshot, DecodeError};
 use rim_csi::recorder::CsiRecording;
 use rim_csi::sanitize::sanitize_matched_delay;
 use rim_csi::storage::{load_recording, save_recording, LoadError};
 use rim_dsp::complex::{Complex64, ZERO};
+use rim_dsp::interp::fill_gaps_complex;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -253,6 +258,87 @@ fn shaped_recording(n_sc: usize, shapes: &[Vec<Option<(usize, usize)>>]) -> CsiR
     }
 }
 
+/// Per-lane reference for [`CsiRecording::interpolated`]: every TX ×
+/// subcarrier lane of every antenna gathered and repaired on its own by
+/// [`fill_gaps_complex`]. `None` under the same conditions: an antenna
+/// that lost every packet, or a ragged series.
+fn interpolated_per_lane(rec: &CsiRecording) -> Option<Vec<Vec<CsiSnapshot>>> {
+    let n_samples = rec.n_samples();
+    rec.antennas
+        .iter()
+        .map(|series| {
+            let proto = series.iter().flatten().next()?;
+            let (n_tx, n_sc) = (proto.n_tx(), proto.n_subcarriers());
+            let ragged = series.len() != n_samples
+                || series
+                    .iter()
+                    .flatten()
+                    .any(|s| s.n_tx() != n_tx || s.per_tx.iter().any(|c| c.len() != n_sc));
+            if ragged {
+                return None;
+            }
+            let zero = CsiSnapshot {
+                per_tx: vec![vec![ZERO; n_sc]; n_tx],
+            };
+            let mut dense = vec![zero; n_samples];
+            for tx in 0..n_tx {
+                for sc in 0..n_sc {
+                    let lane: Vec<Option<Complex64>> = series
+                        .iter()
+                        .map(|s| s.as_ref().map(|s| s.per_tx[tx][sc]))
+                        .collect();
+                    for (d, v) in dense.iter_mut().zip(fill_gaps_complex(&lane)?) {
+                        d.per_tx[tx][sc] = v;
+                    }
+                }
+            }
+            Some(dense)
+        })
+        .collect()
+}
+
+/// A lossy capture of `n_ant` antennas × `n_samples` samples of
+/// `n_tx` × `n_sc` CFRs with seeded values. Antenna `a` keeps each
+/// packet with probability `keep[a % keep.len()]`, so loss patterns
+/// differ per antenna and a `0.0` loses every packet.
+fn lossy_recording(
+    seed: u64,
+    n_ant: usize,
+    n_samples: usize,
+    (n_tx, n_sc): (usize, usize),
+    keep: &[f64],
+) -> CsiRecording {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let antennas = (0..n_ant)
+        .map(|a| {
+            (0..n_samples)
+                .map(|_| {
+                    let snap = CsiSnapshot {
+                        per_tx: (0..n_tx)
+                            .map(|_| {
+                                (0..n_sc)
+                                    .map(|_| {
+                                        Complex64::new(
+                                            rng.gen_range(-1e3..1e3),
+                                            rng.gen_range(-1e3..1e3),
+                                        )
+                                    })
+                                    .collect()
+                            })
+                            .collect(),
+                    };
+                    (rng.gen::<f64>() < keep[a % keep.len()]).then_some(snap)
+                })
+                .collect()
+        })
+        .collect();
+    CsiRecording {
+        sample_rate_hz: 100.0,
+        subcarrier_indices: (0..n_sc as i32).collect(),
+        antennas,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -301,6 +387,62 @@ proptest! {
         }
         if let Ok(loaded) = load_bounded(&bytes) {
             let _ = loaded.interpolated();
+        }
+    }
+
+    /// The copy-then-fill repair equals the per-lane reference bit for
+    /// bit: leading and trailing holds, interior runs of every length,
+    /// per-antenna loss patterns, and `None` for an antenna that lost
+    /// everything or a ragged series (an extra TX, a short CFR, a short
+    /// antenna).
+    #[test]
+    fn interpolated_matches_the_per_lane_reference(
+        seed in any::<u64>(),
+        n_ant in 1usize..4,
+        n_samples in 1usize..24,
+        shape in (0usize..3, 0usize..6),
+        keep in prop::collection::vec(prop::sample::select(vec![0.0, 0.2, 0.6, 0.6, 0.9, 1.0]), 1..4),
+        defect in prop::sample::select(vec![0u8, 0, 0, 1, 2, 3, 4]),
+    ) {
+        let mut rec = lossy_recording(seed, n_ant, n_samples, shape, &keep);
+        let last = n_ant - 1;
+        let heard = rec.antennas[last].iter().rposition(Option::is_some);
+        match (defect, heard) {
+            (1, _) => rec.antennas[last].iter_mut().for_each(|s| *s = None),
+            (2, Some(i)) => {
+                let snap = rec.antennas[last][i].as_mut().unwrap();
+                snap.per_tx.push(vec![ZERO; shape.1]);
+            }
+            (3, Some(i)) if shape.0 > 0 => {
+                let snap = rec.antennas[last][i].as_mut().unwrap();
+                snap.per_tx[0].push(ZERO);
+            }
+            (4, _) if n_ant > 1 => {
+                rec.antennas[last].pop();
+            }
+            _ => {}
+        }
+        let dense = rec.interpolated();
+        let reference = interpolated_per_lane(&rec);
+        prop_assert_eq!(dense.is_some(), reference.is_some());
+        if defect == 1 || (defect == 4 && n_ant > 1) {
+            prop_assert!(dense.is_none(), "defect {defect} repaired");
+        }
+        let (Some(dense), Some(reference)) = (dense, reference) else {
+            return;
+        };
+        let bits = |s: &CsiSnapshot| -> Vec<Vec<u64>> {
+            s.per_tx
+                .iter()
+                .map(|cfr| cfr.iter().flat_map(|h| [h.re.to_bits(), h.im.to_bits()]).collect())
+                .collect()
+        };
+        prop_assert_eq!(dense.n_samples(), n_samples);
+        for (a, (got, want)) in dense.antennas.iter().zip(&reference).enumerate() {
+            prop_assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                prop_assert_eq!(bits(g), bits(w), "antenna {} sample {}", a, i);
+            }
         }
     }
 

@@ -1,9 +1,10 @@
 //! Interpolation and resampling.
 //!
-//! Used by the CSI layer to repair packet loss (null CSI insertion followed
-//! by gap interpolation, paper §5 "Packet synchronization and interpolation")
-//! and by the evaluation harness to downsample CSI streams for the
-//! sampling-rate sweep (paper Fig. 16).
+//! [`fill_gaps_complex`] is the per-lane definition of the CSI layer's
+//! packet-loss repair (null CSI insertion followed by gap interpolation,
+//! paper §5 "Packet synchronization and interpolation"), which its tests
+//! check the whole-snapshot repair against; the evaluation harness
+//! downsamples CSI streams for the sampling-rate sweep (paper Fig. 16).
 
 use crate::complex::Complex64;
 

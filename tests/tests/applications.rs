@@ -4,6 +4,7 @@
 use rim_array::ArrayGeometry;
 use rim_channel::trajectory::{polyline, OrientationMode};
 use rim_channel::{office_floorplan, ChannelSimulator};
+use rim_core::RimConfig;
 use rim_dsp::geom::Point2;
 use rim_integration_tests::{config, run_pipeline, FS, SPACING};
 use rim_sensors::{ImuConfig, SimulatedImu};
@@ -69,7 +70,7 @@ fn fusion_with_particle_filter_tracks_office_route() {
         Point2::new(13.0, 13.5),
     ];
     let traj = polyline(&wps, 1.0, FS, OrientationMode::FollowPath);
-    let est = run_pipeline(&sim, &geo, &traj, config(0.3), 30);
+    let est = run_pipeline(&sim, &geo, &traj, RimConfig::for_sample_rate(FS), 30);
     assert!((est.total_distance() - traj.total_distance()).abs() < 0.5);
 
     let imu = SimulatedImu::new(ImuConfig::consumer(), 3).sample(&traj);

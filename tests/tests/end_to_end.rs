@@ -6,7 +6,7 @@ use rim_channel::trajectory::{
     back_and_forth, line, polyline, rotate_in_place, stop_and_go, OrientationMode,
 };
 use rim_channel::ChannelSimulator;
-use rim_core::SegmentKind;
+use rim_core::{RimConfig, SegmentKind};
 use rim_dsp::geom::Point2;
 use rim_dsp::stats::angle_diff;
 use rim_integration_tests::{config, run_pipeline, FS, SPACING};
@@ -23,7 +23,7 @@ fn desktop_distance_within_centimetres() {
         FS,
         OrientationMode::FollowPath,
     );
-    let est = run_pipeline(&sim, &geo, &traj, config(0.3), 1);
+    let est = run_pipeline(&sim, &geo, &traj, RimConfig::for_sample_rate(FS), 1);
     let err_cm = (est.total_distance() - 1.0).abs() * 100.0;
     assert!(
         err_cm < 8.0,
@@ -44,7 +44,7 @@ fn nlos_office_distance_holds() {
         FS,
         OrientationMode::FollowPath,
     );
-    let est = run_pipeline(&sim, &geo, &traj, config(0.3), 2);
+    let est = run_pipeline(&sim, &geo, &traj, RimConfig::for_sample_rate(FS), 2);
     let err_cm = (est.total_distance() - 3.0).abs() * 100.0;
     assert!(
         err_cm < 20.0,
@@ -65,7 +65,7 @@ fn hexagonal_heading_resolves_30_degree_grid() {
             FS,
             OrientationMode::Fixed(0.0),
         );
-        let est = run_pipeline(&sim, &geo, &traj, config(0.3), 3);
+        let est = run_pipeline(&sim, &geo, &traj, RimConfig::for_sample_rate(FS), 3);
         let h = est.segments[0]
             .heading_device
             .unwrap_or_else(|| panic!("heading for {dir_deg}°"));
@@ -90,7 +90,7 @@ fn back_and_forth_nets_to_zero() {
         FS,
         OrientationMode::Fixed(0.0),
     );
-    let est = run_pipeline(&sim, &geo, &traj, config(0.3), 4);
+    let est = run_pipeline(&sim, &geo, &traj, RimConfig::for_sample_rate(FS), 4);
     // Total path length ≈ 2 m.
     assert!(
         (est.total_distance() - 2.0).abs() < 0.25,
@@ -108,7 +108,7 @@ fn stop_and_go_segments_detected() {
     let sim = ChannelSimulator::open_lab(7);
     let geo = ArrayGeometry::linear(3, SPACING);
     let traj = stop_and_go(Point2::new(-1.0, 2.0), 0.0, 1.0, 1.0, 3, 1.0, FS);
-    let est = run_pipeline(&sim, &geo, &traj, config(0.3), 5);
+    let est = run_pipeline(&sim, &geo, &traj, RimConfig::for_sample_rate(FS), 5);
     assert_eq!(
         est.segments.len(),
         3,
@@ -132,7 +132,7 @@ fn square_loop_closes() {
         p0,
     ];
     let traj = polyline(&wps, 1.0, FS, OrientationMode::Fixed(0.0));
-    let est = run_pipeline(&sim, &geo, &traj, config(0.3), 6);
+    let est = run_pipeline(&sim, &geo, &traj, RimConfig::for_sample_rate(FS), 6);
     assert!((est.total_distance() - 4.0).abs() < 0.4);
     let track = est.trajectory(p0, 0.0);
     let closure = track.last().unwrap().distance(p0);
@@ -174,7 +174,7 @@ fn sideway_movement_heading_changes_without_turning() {
         Point2::new(0.8, 2.6),
     ];
     let traj = polyline(&wps, 1.0, FS, OrientationMode::Fixed(0.0));
-    let est = run_pipeline(&sim, &geo, &traj, config(0.3), 8);
+    let est = run_pipeline(&sim, &geo, &traj, RimConfig::for_sample_rate(FS), 8);
     // Heading must take both 0° and 90° values within the single segment.
     let headings: Vec<f64> = est.heading_device.iter().flatten().copied().collect();
     let has_east = headings.iter().any(|&h| angle_diff(h, 0.0) < 0.1);

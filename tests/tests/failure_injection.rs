@@ -8,7 +8,7 @@ use rim_channel::ChannelSimulator;
 use rim_core::{Rim, RimConfig};
 use rim_csi::{CsiRecorder, DeviceConfig, HardwareProfile, LossModel, RecorderConfig};
 use rim_dsp::geom::Point2;
-use rim_integration_tests::{config, FS, SPACING};
+use rim_integration_tests::{FS, SPACING};
 
 fn run_with(
     device: DeviceConfig,
@@ -47,7 +47,7 @@ fn tolerates_ten_percent_iid_loss() {
     let geo = ArrayGeometry::linear(3, SPACING);
     let device =
         DeviceConfig::single_nic(geo.offsets().to_vec()).with_loss(LossModel::Iid { p: 0.1 });
-    let (est, truth) = run_with(device, &geo, config(0.3), 1);
+    let (est, truth) = run_with(device, &geo, RimConfig::for_sample_rate(FS), 1);
     assert!(
         (est - truth).abs() < 0.2,
         "10% loss: {est:.2} vs {truth:.2}"
@@ -64,7 +64,7 @@ fn tolerates_bursty_loss() {
             loss_good: 0.01,
             loss_bad: 0.7,
         });
-    let (est, truth) = run_with(device, &geo, config(0.3), 2);
+    let (est, truth) = run_with(device, &geo, RimConfig::for_sample_rate(FS), 2);
     assert!(
         (est - truth).abs() < 0.35,
         "bursty loss: {est:.2} vs {truth:.2}"
@@ -76,7 +76,7 @@ fn tolerates_noisy_front_end() {
     let geo = ArrayGeometry::linear(3, SPACING);
     let device =
         DeviceConfig::single_nic(geo.offsets().to_vec()).with_profile(HardwareProfile::noisy());
-    let (est, truth) = run_with(device, &geo, config(0.3), 3);
+    let (est, truth) = run_with(device, &geo, RimConfig::for_sample_rate(FS), 3);
     assert!(
         (est - truth).abs() < 0.25,
         "noisy NIC: {est:.2} vs {truth:.2}"
@@ -91,7 +91,7 @@ fn degrades_not_explodes_at_low_snr() {
         ..HardwareProfile::noisy()
     };
     let device = DeviceConfig::single_nic(geo.offsets().to_vec()).with_profile(profile);
-    let (est, truth) = run_with(device, &geo, config(0.3), 4);
+    let (est, truth) = run_with(device, &geo, RimConfig::for_sample_rate(FS), 4);
     // At 6 dB the estimate may be rough, but it must stay the right order
     // of magnitude (no runaway integration like an accelerometer's).
     assert!(
@@ -107,7 +107,7 @@ fn hexagonal_survives_asymmetric_nic_loss() {
     let geo = ArrayGeometry::hexagonal(SPACING);
     let mut device = DeviceConfig::dual_nic(geo.offsets().to_vec());
     device.nics[1].loss = LossModel::Iid { p: 0.25 };
-    let (est, truth) = run_with(device, &geo, config(0.3), 5);
+    let (est, truth) = run_with(device, &geo, RimConfig::for_sample_rate(FS), 5);
     assert!(
         (est - truth).abs() < 0.3,
         "asymmetric loss: {est:.2} vs {truth:.2}"
@@ -159,7 +159,7 @@ fn capture_file_round_trip_preserves_analysis() {
     rim_csi::storage::save_recording(&recording, &mut buf).unwrap();
     let reloaded = rim_csi::storage::load_recording(&buf[..]).unwrap();
 
-    let rim = Rim::new(geo.clone(), config(0.3)).unwrap();
+    let rim = Rim::new(geo.clone(), RimConfig::for_sample_rate(FS)).unwrap();
     let a = rim.analyze(&recording.interpolated().unwrap()).unwrap();
     let b = rim.analyze(&reloaded.interpolated().unwrap()).unwrap();
     assert_eq!(a.total_distance(), b.total_distance());

@@ -18,13 +18,13 @@ use rim_array::ArrayGeometry;
 use rim_channel::trajectory::{dwell, line, OrientationMode, Trajectory};
 use rim_channel::ChannelSimulator;
 use rim_core::stream::{RimStream, StreamAggregate};
-use rim_core::ImuSample;
+use rim_core::{ImuSample, RimConfig};
 use rim_csi::{
     synced_from_recording, CsiRecorder, CsiRecording, DeviceConfig, HardwareProfile, LossModel,
     RecorderConfig,
 };
 use rim_dsp::geom::Point2;
-use rim_integration_tests::{config, FS, SPACING};
+use rim_integration_tests::{FS, SPACING};
 use rim_sensors::{ImuConfig, SimulatedImu};
 use rim_tracking::Fuser;
 
@@ -192,7 +192,7 @@ fn stream_recording(
     recording: &CsiRecording,
     threads: usize,
 ) -> (StreamAggregate, f64) {
-    let cfg = config(0.3).with_threads(threads);
+    let cfg = RimConfig::for_sample_rate(FS).with_threads(threads);
     let mut stream = RimStream::new(geometry.clone(), cfg).expect("valid config");
     let mut agg = StreamAggregate::default();
     for sample in synced_from_recording(recording) {
@@ -397,7 +397,8 @@ fn fused_beats_rim_only_median_error_through_blackout() {
     let samples = synced_from_recording(&recording);
 
     // RIM-only: one deterministic stream (no IMU in the loop).
-    let mut rim_only = RimStream::new(geometry.clone(), config(0.3)).expect("valid config");
+    let mut rim_only =
+        RimStream::new(geometry.clone(), RimConfig::for_sample_rate(FS)).expect("valid config");
     let mut agg = StreamAggregate::default();
     for sample in samples.iter() {
         agg.absorb(&rim_only.ingest(sample.clone()).expect("ingest"));
@@ -421,8 +422,10 @@ fn fused_beats_rim_only_median_error_through_blackout() {
                 .accel_noise(0.3)
                 .build()
                 .expect("valid knobs");
-            let mut fused =
-                fuser.stream(RimStream::new(geometry.clone(), config(0.3)).expect("valid config"));
+            let mut fused = fuser.stream(
+                RimStream::new(geometry.clone(), RimConfig::for_sample_rate(FS))
+                    .expect("valid config"),
+            );
             for (i, sample) in samples.iter().enumerate() {
                 let batch = vec![ImuSample {
                     t_us: (i as f64 / FS * 1e6) as u64,

@@ -9,10 +9,10 @@ use rim_array::ArrayGeometry;
 use rim_channel::trajectory::{dwell, line, OrientationMode, Trajectory};
 use rim_channel::ChannelSimulator;
 use rim_core::stream::{RimStream, StreamAggregate};
-use rim_core::{ImuSample, StreamEvent};
+use rim_core::{ImuSample, RimConfig, StreamEvent};
 use rim_csi::{synced_from_recording, CsiRecorder, DeviceConfig, RecorderConfig, SyncedSample};
 use rim_dsp::geom::{Point2, Vec2};
-use rim_integration_tests::{config, FS, SPACING};
+use rim_integration_tests::{FS, SPACING};
 use rim_sensors::{ImuConfig, ImuRecording, SimulatedImu};
 use rim_tracking::Fuser;
 
@@ -104,7 +104,11 @@ fn fused_fingerprints(
     imu: &ImuRecording,
     threads: usize,
 ) -> Vec<String> {
-    let rim = RimStream::new(geo.clone(), config(0.3).with_threads(threads)).expect("valid config");
+    let rim = RimStream::new(
+        geo.clone(),
+        RimConfig::for_sample_rate(FS).with_threads(threads),
+    )
+    .expect("valid config");
     let start = Point2::new(0.0, 2.0);
     let fuser = Fuser::builder()
         .initial_position(start)
@@ -193,8 +197,9 @@ fn ideal_imu_fused_distance_matches_rim_only_within_1e9() {
         .accel_noise(1.0)
         .build()
         .expect("valid knobs");
-    let mut fused = fuser.stream(RimStream::new(geo.clone(), config(0.3)).expect("valid config"));
-    let mut rim_only = RimStream::new(geo, config(0.3)).expect("valid config");
+    let mut fused = fuser
+        .stream(RimStream::new(geo.clone(), RimConfig::for_sample_rate(FS)).expect("valid config"));
+    let mut rim_only = RimStream::new(geo, RimConfig::for_sample_rate(FS)).expect("valid config");
     let mut aggregate = StreamAggregate::default();
 
     for (i, sample) in samples.iter().enumerate() {
@@ -246,8 +251,9 @@ fn fused_rides_through_a_blackout_that_rim_only_cannot() {
         .accel_noise(0.3)
         .build()
         .expect("valid knobs");
-    let mut fused = fuser.stream(RimStream::new(geo.clone(), config(0.3)).expect("valid config"));
-    let mut rim_only = RimStream::new(geo, config(0.3)).expect("valid config");
+    let mut fused = fuser
+        .stream(RimStream::new(geo.clone(), RimConfig::for_sample_rate(FS)).expect("valid config"));
+    let mut rim_only = RimStream::new(geo, RimConfig::for_sample_rate(FS)).expect("valid config");
 
     // Dead-reckoned position from the plain stream's segment events.
     let mut rim_position = start;

@@ -5,10 +5,10 @@
 use rim_array::ArrayGeometry;
 use rim_channel::trajectory::{line, OrientationMode};
 use rim_channel::ChannelSimulator;
-use rim_core::Rim;
+use rim_core::{Rim, RimConfig};
 use rim_csi::{CsiRecorder, DeviceConfig, RecorderConfig};
 use rim_dsp::geom::Point2;
-use rim_integration_tests::{config, FS, SPACING};
+use rim_integration_tests::{FS, SPACING};
 use rim_obs::{serve_metric, stage, NullProbe, Recorder, RunReport, WindowSnapshot};
 
 fn small_run() -> (Rim, rim_csi::recorder::DenseCsi) {
@@ -33,7 +33,10 @@ fn small_run() -> (Rim, rim_csi::recorder::DenseCsi) {
     .record(&traj)
     .interpolated()
     .expect("interpolable");
-    (Rim::new(geo, config(0.3)).expect("valid config"), dense)
+    (
+        Rim::new(geo, RimConfig::for_sample_rate(FS)).expect("valid config"),
+        dense,
+    )
 }
 
 #[test]

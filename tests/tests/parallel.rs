@@ -5,11 +5,11 @@
 use rim_array::ArrayGeometry;
 use rim_channel::trajectory::{line, OrientationMode};
 use rim_channel::ChannelSimulator;
-use rim_core::{MotionEstimate, Rim};
+use rim_core::{MotionEstimate, Rim, RimConfig};
 use rim_csi::recorder::DenseCsi;
 use rim_csi::{CsiRecorder, DeviceConfig, RecorderConfig};
 use rim_dsp::geom::Point2;
-use rim_integration_tests::{config, FS, SPACING};
+use rim_integration_tests::{FS, SPACING};
 
 fn trace(seed: u64) -> (ArrayGeometry, DenseCsi) {
     let sim = ChannelSimulator::open_lab(seed);
@@ -63,15 +63,18 @@ fn assert_estimates_identical(a: &MotionEstimate, b: &MotionEstimate) {
 #[test]
 fn thread_count_never_changes_a_bit() {
     let (geo, dense) = trace(7);
-    let serial = Rim::new(geo.clone(), config(0.3).with_threads(1))
+    let serial = Rim::new(geo.clone(), RimConfig::for_sample_rate(FS).with_threads(1))
         .expect("valid config")
         .analyze(&dense)
         .expect("analyzable");
     for threads in [2usize, 4, 8] {
-        let est = Rim::new(geo.clone(), config(0.3).with_threads(threads))
-            .expect("valid config")
-            .analyze(&dense)
-            .expect("analyzable");
+        let est = Rim::new(
+            geo.clone(),
+            RimConfig::for_sample_rate(FS).with_threads(threads),
+        )
+        .expect("valid config")
+        .analyze(&dense)
+        .expect("analyzable");
         assert_estimates_identical(&est, &serial);
     }
 }
@@ -80,7 +83,7 @@ fn thread_count_never_changes_a_bit() {
 fn analyze_batch_equals_independent_analyzes() {
     let (geo, a) = trace(7);
     let (_, b) = trace(21);
-    let rim = Rim::new(geo, config(0.3).with_threads(4)).expect("valid config");
+    let rim = Rim::new(geo, RimConfig::for_sample_rate(FS).with_threads(4)).expect("valid config");
 
     let independent: Vec<MotionEstimate> = [&a, &b, &a]
         .iter()
@@ -104,7 +107,7 @@ fn batch_rejects_any_bad_input_up_front() {
         antennas: good.antennas[..2].to_vec(),
         ..good.clone()
     };
-    let rim = Rim::new(geo, config(0.3)).expect("valid config");
+    let rim = Rim::new(geo, RimConfig::for_sample_rate(FS)).expect("valid config");
     let err = rim
         .session()
         .analyze_batch(&[&good, &bad])

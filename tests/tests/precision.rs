@@ -17,7 +17,7 @@ use rim_csi::{CsiRecorder, DeviceConfig, RecorderConfig};
 use rim_dsp::complex::Complex64;
 use rim_dsp::geom::Point2;
 use rim_dsp::stats::angle_diff;
-use rim_integration_tests::{ab_ratios, config, median, run_pipeline, timed_reps, FS, SPACING};
+use rim_integration_tests::{ab_ratios, median, run_pipeline, timed_reps, FS, SPACING};
 use rim_par::Pool;
 use rim_simd::{active_tier, force_tier, Tier};
 use std::sync::Mutex;
@@ -228,7 +228,7 @@ proptest! {
             FS,
             OrientationMode::Fixed(0.0),
         );
-        assert_f32_inside_budget(&ChannelSimulator::open_lab(seed), &traj, config(0.3), seed);
+        assert_f32_inside_budget(&ChannelSimulator::open_lab(seed), &traj, RimConfig::for_sample_rate(FS), seed);
     }
 }
 
@@ -325,14 +325,14 @@ fn precision_does_not_change_event_ordering_or_confidence_plumbing() {
         &sim,
         &geo,
         &traj,
-        config(0.3).precision(Precision::F64Reference),
+        RimConfig::for_sample_rate(FS).precision(Precision::F64Reference),
         23,
     );
     let est32 = run_pipeline(
         &sim,
         &geo,
         &traj,
-        config(0.3).precision(Precision::F32Fast),
+        RimConfig::for_sample_rate(FS).precision(Precision::F32Fast),
         23,
     );
     assert_eq!(
@@ -375,7 +375,7 @@ fn precision_does_not_change_event_ordering_or_confidence_plumbing() {
     };
     let mut shapes = Vec::new();
     for precision in [Precision::F64Reference, Precision::F32Fast] {
-        let cfg = config(0.3).precision(precision);
+        let cfg = RimConfig::for_sample_rate(FS).precision(precision);
         let mut stream = RimStream::new(geo.clone(), cfg).expect("valid config");
         let mut events = Vec::new();
         for i in 0..dense.n_samples() {

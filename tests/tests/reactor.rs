@@ -15,10 +15,11 @@
 use rim_array::ArrayGeometry;
 use rim_channel::trajectory::{line, OrientationMode};
 use rim_channel::ChannelSimulator;
+use rim_core::RimConfig;
 use rim_csi::sync::SyncedSample;
 use rim_csi::{synced_from_recording, CsiRecorder, DeviceConfig, RecorderConfig};
 use rim_dsp::geom::Point2;
-use rim_integration_tests::{config, FS, SPACING};
+use rim_integration_tests::{FS, SPACING};
 use rim_serve::wire::{self, Request, Response};
 use rim_serve::{Admit, Client, RejectReason, ServeConfig, Server, SessionManager};
 use std::io::Write;
@@ -54,8 +55,10 @@ fn samples() -> Vec<SyncedSample> {
 }
 
 fn server_with(serve_cfg: ServeConfig) -> (Server, Arc<SessionManager>) {
-    let manager =
-        Arc::new(SessionManager::new(geometry(), config(0.3), serve_cfg).expect("valid config"));
+    let manager = Arc::new(
+        SessionManager::new(geometry(), RimConfig::for_sample_rate(FS), serve_cfg)
+            .expect("valid config"),
+    );
     let server = Server::bind("127.0.0.1:0", Arc::clone(&manager)).expect("bind");
     (server, manager)
 }

@@ -8,10 +8,10 @@
 use proptest::prelude::*;
 use rim_array::ArrayGeometry;
 use rim_channel::{scenarios, ChannelSimulator, SubcarrierLayout};
-use rim_core::{MotionEstimate, Rim};
+use rim_core::{MotionEstimate, Rim, RimConfig};
 use rim_csi::{CsiRecorder, DeviceConfig, RecorderConfig};
 use rim_dsp::geom::Point2;
-use rim_integration_tests::{config, SPACING};
+use rim_integration_tests::{FS, SPACING};
 
 /// One device shape of the matrix, drawn by the strategy.
 #[derive(Debug, Clone, Copy)]
@@ -77,7 +77,7 @@ fn analyze(
     .record(&traj)
     .interpolated()
     .expect("lossless recording interpolates");
-    Rim::new(geo, config(0.3).with_threads(threads))
+    Rim::new(geo, RimConfig::for_sample_rate(FS).with_threads(threads))
         .expect("matrix geometry is a valid config")
         .analyze(&dense)
 }

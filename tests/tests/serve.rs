@@ -18,12 +18,12 @@ use rim_array::ArrayGeometry;
 use rim_channel::trajectory::{line, OrientationMode, Trajectory};
 use rim_channel::ChannelSimulator;
 use rim_core::stream::{RimStream, StreamEvent};
-use rim_core::{ImuSample, StreamEventKind, StreamInput};
+use rim_core::{ImuSample, RimConfig, StreamEventKind, StreamInput};
 use rim_csi::{
     synced_from_recording, CsiRecorder, CsiRecording, DeviceConfig, LossModel, RecorderConfig,
 };
 use rim_dsp::geom::Point2;
-use rim_integration_tests::{config, FS, SPACING};
+use rim_integration_tests::{FS, SPACING};
 use rim_sensors::{ImuConfig, SimulatedImu};
 use rim_serve::{Admit, Client, ServeConfig, Server, SessionManager};
 use rim_tracking::Fuser;
@@ -67,7 +67,8 @@ fn session_recording(clean: &CsiRecording, k: u64) -> CsiRecording {
 
 /// Ground truth: a standalone serial stream fed the same samples.
 fn standalone_events(recording: &CsiRecording) -> Vec<StreamEvent> {
-    let mut stream = RimStream::new(geometry(), config(0.3).with_threads(1)).expect("valid config");
+    let mut stream = RimStream::new(geometry(), RimConfig::for_sample_rate(FS).with_threads(1))
+        .expect("valid config");
     let mut events = Vec::new();
     for sample in synced_from_recording(recording) {
         events.extend(stream.ingest(sample).expect("ingest never errors"));
@@ -97,7 +98,7 @@ fn concurrent_sessions_match_standalone(io_threads: usize) {
     let manager = Arc::new(
         SessionManager::new(
             geometry(),
-            config(0.3),
+            RimConfig::for_sample_rate(FS),
             // A queue much shorter than the capture, so sessions hit
             // real backpressure mid-stream and retry — throttling must
             // not perturb results either.
@@ -179,14 +180,22 @@ fn each_ingest_answer_carries_exactly_its_own_events() {
     }
 
     let manager = Arc::new(
-        SessionManager::new(geometry(), config(0.3), ServeConfig::default()).expect("valid config"),
+        SessionManager::new(
+            geometry(),
+            RimConfig::for_sample_rate(FS),
+            ServeConfig::default(),
+        )
+        .expect("valid config"),
     );
     let mut server = Server::bind("127.0.0.1:0", Arc::clone(&manager)).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let mut reference = Fuser::builder()
         .build()
         .expect("default knobs are valid")
-        .stream(RimStream::new(geometry(), config(0.3).with_threads(1)).expect("valid config"));
+        .stream(
+            RimStream::new(geometry(), RimConfig::for_sample_rate(FS).with_threads(1))
+                .expect("valid config"),
+        );
 
     let mut fused_answers = 0;
     let mut imu_batches = 0;
@@ -236,7 +245,7 @@ fn deadline_scheduling_is_bit_invisible_per_tenant() {
     let manager = Arc::new(
         SessionManager::new(
             geometry(),
-            config(0.3),
+            RimConfig::for_sample_rate(FS),
             ServeConfig::builder()
                 .queue_depth(8)
                 .latency_budget_us(5_000)
@@ -281,7 +290,7 @@ fn flooded_session_is_throttled_without_perturbing_neighbours() {
     let clean = clean_recording();
     let manager = SessionManager::new(
         geometry(),
-        config(0.3),
+        RimConfig::for_sample_rate(FS),
         ServeConfig::builder()
             .queue_depth(4)
             .build()
@@ -331,8 +340,8 @@ fn flooded_session_is_throttled_without_perturbing_neighbours() {
 
     // The flooded session still analyses exactly what was admitted.
     let flood_events = manager.finish(1);
-    let mut reference =
-        RimStream::new(geometry(), config(0.3).with_threads(1)).expect("valid config");
+    let mut reference = RimStream::new(geometry(), RimConfig::for_sample_rate(FS).with_threads(1))
+        .expect("valid config");
     let mut expected = Vec::new();
     for sample in accepted_samples {
         expected.extend(reference.ingest(sample).expect("ingest"));

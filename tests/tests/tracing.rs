@@ -20,7 +20,7 @@ use rim_core::stream::{RimStream, StreamEvent};
 use rim_core::RimConfig;
 use rim_csi::{synced_from_recording, CsiRecorder, CsiRecording, DeviceConfig, RecorderConfig};
 use rim_dsp::geom::Point2;
-use rim_integration_tests::{ab_ratios, config, median, timed_reps, FS, SPACING};
+use rim_integration_tests::{ab_ratios, median, timed_reps, FS, SPACING};
 use rim_obs::{ActiveTrace, SpanKind, TraceId};
 use rim_serve::{Admit, Client, ServeConfig, Server, SessionManager};
 use std::sync::Arc;
@@ -71,7 +71,8 @@ fn fingerprint(events: &[StreamEvent]) -> String {
 /// Streams the capture through a bare `RimStream`, attaching a fresh
 /// `ActiveTrace` to every ingest when asked.
 fn stream_events(recording: &CsiRecording, traced: bool) -> Vec<StreamEvent> {
-    let mut stream = RimStream::new(geometry(), config(0.3)).expect("valid config");
+    let mut stream =
+        RimStream::new(geometry(), RimConfig::for_sample_rate(FS)).expect("valid config");
     let mut events = Vec::new();
     for (i, sample) in synced_from_recording(recording).into_iter().enumerate() {
         if traced {
@@ -102,7 +103,7 @@ fn stream_events(recording: &CsiRecording, traced: bool) -> Vec<StreamEvent> {
 fn serve_events(recording: &CsiRecording, trace_every: usize) -> (Vec<StreamEvent>, usize) {
     let manager = SessionManager::new(
         geometry(),
-        config(0.3),
+        RimConfig::for_sample_rate(FS),
         ServeConfig::builder()
             .trace_every(trace_every)
             .build()
@@ -162,7 +163,7 @@ fn metrics_snapshot_round_trips_over_loopback_with_queue_wait_spans() {
     let manager = Arc::new(
         SessionManager::new(
             geometry(),
-            config(0.3),
+            RimConfig::for_sample_rate(FS),
             ServeConfig::builder()
                 .trace_every(1)
                 .build()
