@@ -804,6 +804,50 @@ mod tests {
         }
     }
 
+    /// FNV-1a 64 over `bytes`.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Pins the ingest frame bytes, so a change to the sample encoding
+    /// shows here and not only as a peer that can no longer decode.
+    #[test]
+    fn ingest_frames_are_byte_identical_to_the_golden_digests() {
+        let snap = |tag: f64| CsiSnapshot {
+            per_tx: (0..2)
+                .map(|k| {
+                    (0..4)
+                        .map(|s| Complex64::new(tag + k as f64, -0.25 * s as f64))
+                        .collect()
+                })
+                .collect(),
+        };
+        let ingest = |seq, antennas| {
+            Request::Ingest {
+                session_id: 0x0102_0304_0506_0708,
+                sample: SyncedSample { seq, antennas },
+            }
+            .encode()
+        };
+        let holes = ingest(917, vec![Some(snap(1.0)), None, Some(snap(3.0)), None]);
+        // Frame length, tag, session id, antenna count, presence bitmap,
+        // frame block length, then the block's magic.
+        assert_eq!(
+            holes[..4 + 1 + 8 + 4 + 4 + 4 + 4],
+            [
+                0, 0, 1, 69, 1, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 4, 1, 0, 1, 0, 0, 0, 1, 48, 82,
+                73, 77, 49
+            ]
+        );
+        assert_eq!((holes.len(), fnv(&holes)), (329, 4072101469833895450));
+        let all_lost = ingest(1, vec![None, None]);
+        assert_eq!((all_lost.len(), fnv(&all_lost)), (47, 8366378583753921249));
+        let empty = ingest(2, vec![]);
+        assert_eq!((empty.len(), fnv(&empty)), (45, 16303364725139856988));
+    }
+
     #[test]
     fn event_tags_track_the_core_registry() {
         // The serve tags are derived consts; this pins the registry
