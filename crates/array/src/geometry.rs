@@ -160,14 +160,6 @@ impl ArrayGeometry {
         &self.nic_groups
     }
 
-    /// Antenna offsets of one NIC, in that NIC's antenna order.
-    pub fn nic_offsets(&self, nic: usize) -> Vec<Vec2> {
-        self.nic_groups[nic]
-            .iter()
-            .map(|&a| self.offsets[a])
-            .collect()
-    }
-
     /// All unordered pairs, each reported once in the orientation whose
     /// direction lies in `(-π/2, π/2]` (canonical form).
     pub fn pairs(&self) -> Vec<PairGeometry> {
@@ -431,10 +423,11 @@ mod tests {
     fn hexagon_nic_split() {
         let a = ArrayGeometry::hexagonal(HALF_WAVELENGTH);
         assert_eq!(a.nic_groups().len(), 2);
-        assert_eq!(a.nic_offsets(0).len(), 3);
+        assert_eq!(a.nic_groups()[0].len(), 3);
         // NIC 1 antennas all on the upper half-plane.
-        assert!(a.nic_offsets(0).iter().all(|o| o.y > 0.0));
-        assert!(a.nic_offsets(1).iter().all(|o| o.y < 0.0));
+        let y = |nic: usize| a.nic_groups()[nic].iter().map(|&i| a.offsets()[i].y);
+        assert!(y(0).all(|y| y > 0.0));
+        assert!(y(1).all(|y| y < 0.0));
     }
 
     #[test]

@@ -86,14 +86,6 @@ impl SubcarrierLayout {
     pub fn wavelength(&self) -> f64 {
         crate::propagation::SPEED_OF_LIGHT / self.center_hz
     }
-
-    /// Occupied RF bandwidth (span of populated subcarriers).
-    pub fn bandwidth_hz(&self) -> f64 {
-        match (self.indices.iter().min(), self.indices.iter().max()) {
-            (Some(&lo), Some(&hi)) => (hi - lo) as f64 * self.spacing_hz,
-            _ => 0.0,
-        }
-    }
 }
 
 /// Synthesizes the CFR of a ray set over a subcarrier layout.
@@ -142,7 +134,8 @@ mod tests {
         assert_eq!(l.n_subcarriers(), 114);
         assert!(!l.indices.contains(&0), "no DC subcarrier");
         assert!(!l.indices.contains(&1) && !l.indices.contains(&-1));
-        assert!((l.bandwidth_hz() - 116.0 * 312_500.0).abs() < 1.0);
+        assert_eq!(l.indices[0], -58);
+        assert_eq!(*l.indices.last().unwrap(), 58);
         assert!((l.wavelength() - SPEED_OF_LIGHT / 5.8e9).abs() < 1e-12);
         // Half wavelength matches the paper's 2.58 cm antenna spacing.
         assert!((l.wavelength() / 2.0 - 0.0258).abs() < 3e-4);
@@ -165,7 +158,6 @@ mod tests {
         assert!(!l.indices.contains(&1) && !l.indices.contains(&-1));
         assert_eq!(l.indices[0], -122);
         assert_eq!(*l.indices.last().unwrap(), 122);
-        assert!((l.bandwidth_hz() - 244.0 * 312_500.0).abs() < 1.0);
         // Same carrier as HT40: antenna spacing stays λ/2 ≈ 2.58 cm
         // across bandwidths, so array geometry is bandwidth-independent.
         assert!((l.wavelength() - SPEED_OF_LIGHT / 5.8e9).abs() < 1e-12);

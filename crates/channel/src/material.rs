@@ -81,11 +81,6 @@ pub fn db_to_amplitude(db: f64) -> f64 {
     10f64.powf(db / 20.0)
 }
 
-/// Converts an amplitude factor to power dB.
-pub fn amplitude_to_db(amp: f64) -> f64 {
-    20.0 * amp.log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,7 +102,7 @@ mod tests {
     fn db_round_trip() {
         for db in [-30.0, -6.0, 0.0, 3.0] {
             let amp = db_to_amplitude(db);
-            assert!((amplitude_to_db(amp) - db).abs() < 1e-12);
+            assert!((20.0 * amp.log10() - db).abs() < 1e-12);
         }
         assert!((db_to_amplitude(0.0) - 1.0).abs() < 1e-12);
         assert!((db_to_amplitude(-20.0) - 0.1).abs() < 1e-12);

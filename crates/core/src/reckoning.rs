@@ -4,28 +4,6 @@
 use rim_dsp::geom::{Point2, Vec2};
 use rim_dsp::stats::wrap_angle;
 
-/// Speed from an alignment delay: `v = Δd / Δt` (paper Fig. 1). Returns
-/// `None` at lag 0 (the pair is not usable — the implied speed exceeds
-/// `Δd·rate`).
-pub fn speed_from_lag(separation_m: f64, lag_samples: isize, sample_rate_hz: f64) -> Option<f64> {
-    if lag_samples == 0 {
-        return None;
-    }
-    Some(separation_m * sample_rate_hz / lag_samples.unsigned_abs() as f64)
-}
-
-/// Device-frame heading from a pair's direction and the sign of its
-/// alignment delay: positive lag means the follower `i` retraces the
-/// leader `j`, i.e. motion along `i → j`; negative lag is the opposite
-/// direction (§4.4 (2)).
-pub fn heading_from_lag(pair_direction: f64, lag_samples: isize) -> Option<f64> {
-    match lag_samples.signum() {
-        0 => None,
-        1 => Some(wrap_angle(pair_direction)),
-        _ => Some(wrap_angle(pair_direction + std::f64::consts::PI)),
-    }
-}
-
 /// Speed from a *fractional* (sub-sample refined) alignment delay.
 /// Returns `None` when the delay magnitude is below half a sample (the
 /// implied speed would be unresolvable).
@@ -63,23 +41,6 @@ pub fn angular_rate_from_frac_lag(
         return None;
     }
     Some(arc_separation_m * sample_rate_hz / lag_samples / radius_m)
-}
-
-/// Signed angular rate from a ring-adjacent pair's delay during in-place
-/// rotation: the antenna travels the arc `arc_separation` in `lag`
-/// samples along a circle of `radius`; positive lag on a CCW-oriented
-/// ring pair means CCW (positive) rotation.
-pub fn angular_rate_from_lag(
-    arc_separation_m: f64,
-    radius_m: f64,
-    lag_samples: isize,
-    sample_rate_hz: f64,
-) -> Option<f64> {
-    if lag_samples == 0 || radius_m <= 0.0 {
-        return None;
-    }
-    let v = arc_separation_m * sample_rate_hz / lag_samples as f64;
-    Some(v / radius_m)
 }
 
 /// Integrates a per-sample speed series into travelled distance, counting
@@ -172,22 +133,25 @@ mod tests {
     #[test]
     fn speed_basic() {
         // Δd = 2.58 cm retraced in 5 samples at 200 Hz → ~1.03 m/s.
-        let v = speed_from_lag(0.0258, 5, 200.0).unwrap();
+        let v = speed_from_frac_lag(0.0258, 5.0, 200.0).unwrap();
         assert!((v - 1.032).abs() < 1e-3);
         // Negative lag gives the same magnitude.
         assert_eq!(
-            speed_from_lag(0.0258, -5, 200.0),
-            speed_from_lag(0.0258, 5, 200.0)
+            speed_from_frac_lag(0.0258, -5.0, 200.0),
+            speed_from_frac_lag(0.0258, 5.0, 200.0)
         );
-        assert_eq!(speed_from_lag(0.0258, 0, 200.0), None);
+        // Under half a sample, or no delay at all, is unresolvable.
+        for lag in [0.0, 0.49, -0.49, f64::NAN] {
+            assert_eq!(speed_from_frac_lag(0.0258, lag, 200.0), None, "{lag}");
+        }
     }
 
     #[test]
     fn heading_follows_lag_sign() {
-        assert_eq!(heading_from_lag(0.3, 4), Some(0.3));
-        let back = heading_from_lag(0.3, -4).unwrap();
+        assert_eq!(heading_from_frac_lag(0.3, 4.0), Some(0.3));
+        let back = heading_from_frac_lag(0.3, -4.0).unwrap();
         assert!((back - wrap_angle(0.3 + PI)).abs() < 1e-12);
-        assert_eq!(heading_from_lag(0.3, 0), None);
+        assert_eq!(heading_from_frac_lag(0.3, 0.0), None);
     }
 
     #[test]
@@ -195,13 +159,13 @@ mod tests {
         // Hexagon: r = Δd = λ/2, arc = π/3·Δd. 10-sample delay at 200 Hz.
         let d = 0.0258;
         let arc = std::f64::consts::FRAC_PI_3 * d;
-        let w = angular_rate_from_lag(arc, d, 10, 200.0).unwrap();
+        let w = angular_rate_from_frac_lag(arc, d, 10.0, 200.0).unwrap();
         // v = arc·200/10; ω = v / r = π/3·200/10 ≈ 20.9 rad/s.
         assert!((w - std::f64::consts::FRAC_PI_3 * 20.0).abs() < 1e-9);
-        let w_cw = angular_rate_from_lag(arc, d, -10, 200.0).unwrap();
+        let w_cw = angular_rate_from_frac_lag(arc, d, -10.0, 200.0).unwrap();
         assert!((w + w_cw).abs() < 1e-12, "opposite lag, opposite sign");
-        assert_eq!(angular_rate_from_lag(arc, d, 0, 200.0), None);
-        assert_eq!(angular_rate_from_lag(arc, 0.0, 5, 200.0), None);
+        assert_eq!(angular_rate_from_frac_lag(arc, d, 0.0, 200.0), None);
+        assert_eq!(angular_rate_from_frac_lag(arc, 0.0, 5.0, 200.0), None);
     }
 
     #[test]

@@ -105,20 +105,13 @@ impl CsiFrame {
     /// Serialises the frame to the compact binary wire format.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        buf.put_u32(FRAME_MAGIC);
-        buf.put_u64(self.seq);
-        buf.put_f64(self.timestamp_s);
-        buf.put_u32(self.rx.len() as u32);
-        for snap in &self.rx {
-            buf.put_u32(snap.per_tx.len() as u32);
-            for cfr in &snap.per_tx {
-                buf.put_u32(cfr.len() as u32);
-                for h in cfr {
-                    buf.put_f64(h.re);
-                    buf.put_f64(h.im);
-                }
-            }
-        }
+        put_frame(
+            &mut buf,
+            self.seq,
+            self.timestamp_s,
+            self.rx.len(),
+            &self.rx,
+        );
         buf.freeze()
     }
 
@@ -172,6 +165,31 @@ impl CsiFrame {
             timestamp_s,
             rx,
         })
+    }
+}
+
+/// Appends one frame in the wire format, built from `n_rx` borrowed
+/// snapshots.
+pub(crate) fn put_frame<'a>(
+    out: &mut impl BufMut,
+    seq: u64,
+    timestamp_s: f64,
+    n_rx: usize,
+    rx: impl IntoIterator<Item = &'a CsiSnapshot>,
+) {
+    out.put_u32(FRAME_MAGIC);
+    out.put_u64(seq);
+    out.put_f64(timestamp_s);
+    out.put_u32(n_rx as u32);
+    for snap in rx {
+        out.put_u32(snap.per_tx.len() as u32);
+        for cfr in &snap.per_tx {
+            out.put_u32(cfr.len() as u32);
+            for h in cfr {
+                out.put_f64(h.re);
+                out.put_f64(h.im);
+            }
+        }
     }
 }
 

@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block;
 pub mod frame;
 pub mod impairments;
 pub mod loss;

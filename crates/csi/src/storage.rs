@@ -3,12 +3,14 @@
 //! The paper's workflow records CSI on the device and analyses it later in
 //! MATLAB; this module provides the equivalent capture file. The format is
 //! a small header (rate, subcarrier indices, antenna count) followed by
-//! per-sample length-prefixed [`CsiFrame`]-encoded
-//! blocks, with absent frames marking packet loss.
+//! one block per sample in the layout the serve wire shares (`block.rs`):
+//! a presence bitmap, then a length-prefixed [`crate::CsiFrame`] of the
+//! present snapshots, so absent entries mark packet loss.
 
-use crate::frame::{CsiFrame, CsiSnapshot, DecodeError};
+use crate::block::{self, BlockError};
+use crate::frame::{CsiSnapshot, DecodeError};
 use crate::recorder::CsiRecording;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use std::io::{self, Read, Write};
 
 /// Magic bytes of the capture format.
@@ -39,6 +41,16 @@ impl From<DecodeError> for LoadError {
     }
 }
 
+impl From<BlockError> for LoadError {
+    fn from(e: BlockError) -> Self {
+        match e {
+            BlockError::Presence => LoadError::Corrupt("presence byte other than 0 or 1"),
+            BlockError::Mismatch => LoadError::Corrupt("bitmap/frame mismatch"),
+            BlockError::Frame(e) => LoadError::Frame(e),
+        }
+    }
+}
+
 impl std::fmt::Display for LoadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -53,44 +65,27 @@ impl std::error::Error for LoadError {}
 
 /// Serialises a recording to a writer.
 ///
-/// Each sample stores a presence bitmap over antennas followed by one
-/// frame holding the present snapshots (so loss patterns survive a round
-/// trip exactly).
+/// Each sample is one block of the shared sample codec (`block.rs`): a
+/// presence bitmap over antennas, then one frame holding the present
+/// snapshots, so loss patterns survive a round trip exactly.
 pub fn save_recording<W: Write>(rec: &CsiRecording, mut w: W) -> io::Result<()> {
-    let mut head = BytesMut::new();
-    head.put_u32(CAPTURE_MAGIC);
-    head.put_u16(VERSION);
-    head.put_f64(rec.sample_rate_hz);
-    head.put_u32(rec.n_antennas() as u32);
-    head.put_u32(rec.n_samples() as u32);
-    head.put_u32(rec.subcarrier_indices.len() as u32);
+    let mut buf = Vec::new();
+    buf.put_u32(CAPTURE_MAGIC);
+    buf.put_u16(VERSION);
+    buf.put_f64(rec.sample_rate_hz);
+    buf.put_u32(rec.n_antennas() as u32);
+    buf.put_u32(rec.n_samples() as u32);
+    buf.put_u32(rec.subcarrier_indices.len() as u32);
     for &i in &rec.subcarrier_indices {
-        head.put_i32(i);
+        buf.put_i32(i);
     }
-    w.write_all(&head)?;
+    w.write_all(&buf)?;
 
     for t in 0..rec.n_samples() {
-        // Presence bitmap (one byte per antenna keeps it simple).
-        let mut body = BytesMut::new();
-        let mut present: Vec<&CsiSnapshot> = Vec::new();
-        for a in 0..rec.n_antennas() {
-            match &rec.antennas[a][t] {
-                Some(s) => {
-                    body.put_u8(1);
-                    present.push(s);
-                }
-                None => body.put_u8(0),
-            }
-        }
-        let frame = CsiFrame {
-            seq: t as u64,
-            timestamp_s: t as f64 / rec.sample_rate_hz,
-            rx: present.into_iter().cloned().collect(),
-        };
-        let encoded = frame.encode();
-        body.put_u32(encoded.len() as u32);
-        body.put_slice(&encoded);
-        w.write_all(&body)?;
+        buf.clear();
+        let antennas = rec.antennas.iter().map(|series| series[t].as_ref());
+        block::encode(&mut buf, t as u64, t as f64 / rec.sample_rate_hz, antennas);
+        w.write_all(&buf)?;
     }
     Ok(())
 }
@@ -111,10 +106,10 @@ pub fn load_recording<R: Read>(mut r: R) -> Result<CsiRecording, LoadError> {
     // One buffer for the header, the subcarrier table and every frame
     // block, and one for every sample's presence bitmap and block length:
     // the capture streams through them instead of being copied whole.
-    let mut block = Vec::new();
+    let mut body = Vec::new();
     let mut head = Vec::new();
-    read_block(&mut r, 4 + 2 + 8 + 12, &mut block, "truncated header")?;
-    let mut cur = &block[..];
+    read_block(&mut r, 4 + 2 + 8 + 12, &mut body, "truncated header")?;
+    let mut cur = &body[..];
     if cur.get_u32() != CAPTURE_MAGIC {
         return Err(LoadError::Corrupt("bad magic"));
     }
@@ -128,11 +123,11 @@ pub fn load_recording<R: Read>(mut r: R) -> Result<CsiRecording, LoadError> {
     let n_ant = cur.get_u32() as usize;
     let n_samples = cur.get_u32() as usize;
     let n_sc = cur.get_u32() as usize;
-    if n_ant > 64 || n_sc > 4096 {
+    if n_ant > block::MAX_ANTENNAS || n_sc > 4096 {
         return Err(LoadError::Corrupt("implausible dimensions"));
     }
-    read_block(&mut r, n_sc * 4, &mut block, "truncated subcarrier table")?;
-    let subcarrier_indices = block
+    read_block(&mut r, n_sc * 4, &mut body, "truncated subcarrier table")?;
+    let subcarrier_indices = body
         .as_chunks::<4>()
         .0
         .iter()
@@ -144,23 +139,17 @@ pub fn load_recording<R: Read>(mut r: R) -> Result<CsiRecording, LoadError> {
     let mut antennas: Vec<Vec<Option<CsiSnapshot>>> = vec![Vec::new(); n_ant];
     let mut n_tx = None;
     for _ in 0..n_samples {
-        read_block(&mut r, n_ant + 4, &mut head, "truncated sample")?;
-        let (bitmap, mut len) = head.split_at(n_ant);
-        if bitmap.iter().any(|&b| b > 1) {
-            return Err(LoadError::Corrupt("presence byte other than 0 or 1"));
-        }
-        let len = len.get_u32() as usize;
-        read_block(&mut r, len, &mut block, "truncated frame block")?;
-        let frame = CsiFrame::decode(&block)?;
-        if frame.rx.len() != bitmap.iter().filter(|&&b| b == 1).count() {
-            return Err(LoadError::Corrupt("bitmap/frame mismatch"));
-        }
-        let mut it = frame.rx.into_iter();
-        for (series, &b) in antennas.iter_mut().zip(bitmap) {
-            if b == 1 {
-                let snap = it
-                    .next()
-                    .ok_or(LoadError::Corrupt("bitmap/frame mismatch"))?;
+        read_block(
+            &mut r,
+            block::head_len(n_ant),
+            &mut head,
+            "truncated sample",
+        )?;
+        let (bitmap, len) = block::split_head(&head);
+        read_block(&mut r, len, &mut body, "truncated frame block")?;
+        let (_, sample) = block::decode(bitmap, &body)?;
+        for (series, snap) in antennas.iter_mut().zip(sample) {
+            if let Some(snap) = &snap {
                 if snap.per_tx.iter().any(|cfr| cfr.len() != n_sc) {
                     return Err(LoadError::Corrupt(
                         "CFR length differs from the subcarrier count",
@@ -171,10 +160,8 @@ pub fn load_recording<R: Read>(mut r: R) -> Result<CsiRecording, LoadError> {
                         "TX count differs from the first snapshot's",
                     ));
                 }
-                series.push(Some(snap));
-            } else {
-                series.push(None);
             }
+            series.push(snap);
         }
     }
     head.clear();

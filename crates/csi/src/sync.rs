@@ -8,9 +8,10 @@
 //! timeline indexed by sequence number, inserting nulls where a NIC lost a
 //! packet.
 
+use crate::block::{self, BlockError};
 use crate::frame::{CsiFrame, CsiSnapshot, DecodeError};
 use crate::recorder::CsiRecording;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 
 /// A synchronised device sample: one entry per antenna across all NICs
 /// (NIC 0's antennas first); `None` where that NIC lost the packet.
@@ -22,79 +23,46 @@ pub struct SyncedSample {
     pub antennas: Vec<Option<CsiSnapshot>>,
 }
 
-/// Upper bound on a declared antenna count, to reject corrupt buffers
-/// before allocating (matches the storage loader's plausibility guard).
-const MAX_ANTENNAS: u32 = 4096;
-
 impl SyncedSample {
-    /// Serialises the sample to the same per-sample block layout as the
-    /// capture storage format: a one-byte-per-antenna presence bitmap
-    /// followed by one length-prefixed [`CsiFrame`] holding the present
-    /// snapshots, so loss patterns survive the round trip exactly. This
-    /// is the payload the serving wire protocol ships per ingest.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32(self.antennas.len() as u32);
-        let mut present: Vec<CsiSnapshot> = Vec::new();
-        for snap in &self.antennas {
-            match snap {
-                Some(s) => {
-                    buf.put_u8(1);
-                    present.push(s.clone());
-                }
-                None => buf.put_u8(0),
-            }
-        }
-        let frame = CsiFrame {
-            seq: self.seq,
-            timestamp_s: 0.0,
-            rx: present,
-        };
-        let encoded = frame.encode();
-        buf.put_u32(encoded.len() as u32);
-        buf.put_slice(&encoded);
-        buf.freeze()
+    /// Appends the sample's wire encoding to `out`: a `u32` antenna count,
+    /// then one block of the sample codec the capture format shares
+    /// (`block.rs`), so loss patterns survive the round trip exactly.
+    /// This is the payload the serving wire protocol ships per ingest.
+    pub fn encode(&self, out: &mut BytesMut) {
+        out.put_u32(self.antennas.len() as u32);
+        let antennas = self.antennas.iter().map(Option::as_ref);
+        block::encode(out, self.seq, 0.0, antennas);
     }
 
     /// Decodes a sample serialised by [`SyncedSample::encode`].
     ///
     /// # Errors
     /// [`DecodeError::Truncated`] when the buffer is shorter than its
-    /// declared layout, [`DecodeError::BadDimension`] for implausible
-    /// antenna counts or a presence bitmap that disagrees with the
-    /// embedded frame, and any error of [`CsiFrame::decode`] for the
-    /// frame block itself.
+    /// declared layout, [`DecodeError::BadDimension`] for more antennas
+    /// than a capture file can hold, a presence byte other than 0 or 1,
+    /// or a presence bitmap that disagrees with the embedded frame, and
+    /// any error of [`CsiFrame::decode`] for the frame block itself.
     pub fn decode(mut buf: &[u8]) -> Result<SyncedSample, DecodeError> {
         if buf.remaining() < 4 {
             return Err(DecodeError::Truncated);
         }
-        let n_ant = buf.get_u32();
-        if n_ant > MAX_ANTENNAS {
+        let n_ant = buf.get_u32() as usize;
+        if n_ant > block::MAX_ANTENNAS {
             return Err(DecodeError::BadDimension);
         }
-        if buf.remaining() < n_ant as usize + 4 {
+        if buf.remaining() < block::head_len(n_ant) {
             return Err(DecodeError::Truncated);
         }
-        let mut present = Vec::with_capacity(n_ant as usize);
-        for _ in 0..n_ant {
-            present.push(buf.get_u8() == 1);
-        }
-        let len = buf.get_u32() as usize;
-        if buf.remaining() < len {
-            return Err(DecodeError::Truncated);
-        }
-        let frame = CsiFrame::decode(&buf[..len])?;
-        if frame.rx.len() != present.iter().filter(|&&p| p).count() {
-            return Err(DecodeError::BadDimension);
-        }
-        let mut it = frame.rx.into_iter();
-        let antennas = present
-            .into_iter()
-            .map(|p| if p { it.next() } else { None })
-            .collect();
+        let (head, rest) = buf.split_at(block::head_len(n_ant));
+        let (bitmap, len) = block::split_head(head);
+        let body = rest.get(..len).ok_or(DecodeError::Truncated)?;
+        let (seq, antennas) = block::decode(bitmap, body).map_err(|e| match e {
+            BlockError::Frame(e) => e,
+            BlockError::Presence | BlockError::Mismatch => DecodeError::BadDimension,
+        })?;
         Ok(SyncedSample {
-            seq: frame.seq,
-            antennas,
+            seq,
+            antennas: antennas.collect(),
         })
     }
 }
@@ -247,6 +215,12 @@ mod tests {
         let _ = synchronize(&[a], &[1]);
     }
 
+    fn encoded(sample: &SyncedSample) -> BytesMut {
+        let mut out = BytesMut::new();
+        sample.encode(&mut out);
+        out
+    }
+
     #[test]
     fn synced_sample_encode_round_trips_with_holes() {
         let snap = |tag: f64| CsiSnapshot {
@@ -256,8 +230,7 @@ mod tests {
             seq: 917,
             antennas: vec![Some(snap(1.0)), None, Some(snap(3.0)), None],
         };
-        let bytes = sample.encode();
-        let back = SyncedSample::decode(&bytes).unwrap();
+        let back = SyncedSample::decode(&encoded(&sample)).unwrap();
         assert_eq!(back, sample);
         // All-lost and empty samples survive too.
         for sample in [
@@ -270,7 +243,7 @@ mod tests {
                 antennas: vec![],
             },
         ] {
-            let back = SyncedSample::decode(&sample.encode()).unwrap();
+            let back = SyncedSample::decode(&encoded(&sample)).unwrap();
             assert_eq!(back, sample);
         }
     }
@@ -283,7 +256,7 @@ mod tests {
                 per_tx: vec![vec![Complex64::new(1.0, 2.0)]],
             })],
         };
-        let bytes = sample.encode();
+        let bytes = encoded(&sample);
         for cut in [0, 3, bytes.len() - 1] {
             assert_eq!(
                 SyncedSample::decode(&bytes[..cut]),
@@ -302,6 +275,25 @@ mod tests {
             SyncedSample::decode(&mismatch),
             Err(DecodeError::BadDimension)
         );
+        // A presence byte other than 0 or 1, on a lost antenna or a
+        // present one, is rejected rather than read as "absent".
+        let holes = encoded(&SyncedSample {
+            seq: 6,
+            antennas: vec![sample.antennas[0].clone(), None],
+        });
+        for (at, byte) in [(5, 2), (5, 255), (4, 2), (4, 255)] {
+            let mut bad = holes.to_vec();
+            bad[at] = byte;
+            assert_eq!(
+                SyncedSample::decode(&bad),
+                Err(DecodeError::BadDimension),
+                "byte {at} = {byte}"
+            );
+        }
+        // More antennas than a capture file can hold.
+        let mut wide = holes.to_vec();
+        wide[0..4].copy_from_slice(&65u32.to_be_bytes());
+        assert_eq!(SyncedSample::decode(&wide), Err(DecodeError::BadDimension));
     }
 
     #[test]

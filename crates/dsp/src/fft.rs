@@ -168,17 +168,6 @@ pub fn dft_naive(x: &[Complex64]) -> Vec<Complex64> {
         .collect()
 }
 
-/// Converts a channel frequency response (CFR) to a channel impulse
-/// response (CIR) via the inverse DFT.
-pub fn cfr_to_cir(cfr: &[Complex64]) -> Vec<Complex64> {
-    ifft(cfr)
-}
-
-/// Converts a channel impulse response back to a frequency response.
-pub fn cir_to_cfr(cir: &[Complex64]) -> Vec<Complex64> {
-    fft(cir)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,13 +260,6 @@ mod tests {
             let expect = Complex64::cis(-std::f64::consts::TAU * (k * d) as f64 / n as f64);
             assert!((v - expect).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn cfr_cir_round_trip() {
-        let cfr = ramp(114);
-        let cir = cfr_to_cir(&cfr);
-        assert_vec_close(&cir_to_cfr(&cir), &cfr, 1e-9);
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl Vec2 {
         let (s, c) = theta.sin_cos();
         Vec2::new(self.x * c - self.y * s, self.x * s + self.y * c)
     }
-
-    /// Perpendicular vector (90° counter-clockwise).
-    pub fn perp(self) -> Vec2 {
-        Vec2::new(-self.y, self.x)
-    }
 }
 
 impl Add<Vec2> for Point2 {
@@ -271,7 +266,6 @@ mod tests {
         let v = Vec2::new(1.0, 0.0);
         let r = v.rotate(FRAC_PI_2);
         assert!((r.x).abs() < 1e-12 && (r.y - 1.0).abs() < 1e-12);
-        assert_eq!(v.perp(), Vec2::new(0.0, 1.0));
         let full = v.rotate(2.0 * PI);
         assert!((full.x - 1.0).abs() < 1e-12 && full.y.abs() < 1e-12);
     }

@@ -90,13 +90,6 @@ struct SpanInner<'a> {
     start: Instant,
 }
 
-impl Span<'_> {
-    /// Whether this span is actually timing (false for [`NullProbe`]).
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-}
-
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
@@ -118,7 +111,7 @@ mod tests {
         let probe = NullProbe;
         assert!(!probe.enabled());
         let span = probe.span("movement_detection");
-        assert!(!span.is_enabled());
+        assert!(span.inner.is_none());
         probe.count("s", "c", 1);
         probe.gauge("s", "g", 1.0);
         probe.observe("s", "d", 1.0);

@@ -316,32 +316,6 @@ impl Pool {
         tiles.into_iter().flatten().collect()
     }
 
-    /// Maps `f` over a slice of mutable items on the pool, preserving
-    /// order. Each item is visited by exactly one worker (tile size 1),
-    /// which is what a multi-session scheduler needs: independent
-    /// per-session states advanced concurrently, each mutated by a
-    /// single thread. The per-item `Mutex` is uncontended by
-    /// construction (the work-stealing queues hand every tile to one
-    /// worker), so this stays `forbid(unsafe_code)`-clean without a
-    /// measurable cost next to the work each item carries.
-    pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&mut T) -> R + Sync,
-    {
-        let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-        let tiles = self.run_tiles_sized(cells.len(), 1, |_, range| {
-            range
-                .map(|i| {
-                    let mut item = cells[i].lock().unwrap_or_else(|e| e.into_inner());
-                    f(&mut item)
-                })
-                .collect::<Vec<R>>()
-        });
-        tiles.into_iter().flatten().collect()
-    }
-
     fn run_stealing<R, F>(
         &self,
         n: usize,
@@ -520,27 +494,6 @@ mod tests {
         });
         assert_eq!(out.len(), 64);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i || v == i + 1));
-    }
-
-    #[test]
-    fn map_mut_mutates_in_place_and_preserves_order() {
-        let mut serial_items: Vec<u64> = (0..257).collect();
-        let serial = Pool::serial().map_mut(&mut serial_items, |x| {
-            *x += 1;
-            *x * 2
-        });
-        for threads in [2, 4, 8] {
-            let mut items: Vec<u64> = (0..257).collect();
-            let out = Pool::new(threads, 0).map_mut(&mut items, |x| {
-                *x += 1;
-                *x * 2
-            });
-            assert_eq!(out, serial, "threads={threads}");
-            assert_eq!(items, serial_items, "threads={threads}");
-        }
-        assert!(Pool::new(4, 0)
-            .map_mut(&mut Vec::<u64>::new(), |_| 0)
-            .is_empty());
     }
 
     #[test]

@@ -151,39 +151,6 @@ impl StepCounter {
     }
 }
 
-/// Complementary filter fusing gyroscope rate with magnetometer absolute
-/// orientation: the gyro path tracks fast changes without magnetometer
-/// noise, while the magnetometer path pins the long-term absolute angle
-/// the gyro would drift away from. `blend` is the per-sample weight pulled
-/// toward the magnetometer (0 = pure gyro, 1 = pure magnetometer).
-///
-/// # Panics
-/// Panics on length mismatch or `blend` outside `[0, 1]`.
-pub fn complementary_orientation(
-    gyro_z: &[f64],
-    mag_orientation: &[f64],
-    sample_rate_hz: f64,
-    blend: f64,
-) -> Vec<f64> {
-    assert_eq!(
-        gyro_z.len(),
-        mag_orientation.len(),
-        "gyro and magnetometer tracks must align"
-    );
-    assert!((0.0..=1.0).contains(&blend), "blend in [0, 1]");
-    let dt = 1.0 / sample_rate_hz;
-    let mut theta = mag_orientation.first().copied().unwrap_or(0.0);
-    let mut out = Vec::with_capacity(gyro_z.len());
-    for (&w, &m) in gyro_z.iter().zip(mag_orientation) {
-        let predicted = theta + w * dt;
-        // Blend toward the magnetometer along the shortest arc.
-        let innovation = rim_dsp::stats::wrap_angle(m - predicted);
-        theta = predicted + blend * innovation;
-        out.push(theta);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,52 +283,6 @@ mod tests {
         ];
         assert!((track_length(&track) - 9.0).abs() < 1e-12);
         assert_eq!(track_length(&[]), 0.0);
-    }
-
-    #[test]
-    fn complementary_tracks_truth_better_than_either() {
-        // Rotating at 0.5 rad/s; gyro has bias, magnetometer has noise +
-        // constant distortion-free output.
-        let fs = 100.0;
-        let n = 1000;
-        let truth: Vec<f64> = (0..n).map(|i| 0.5 * i as f64 / fs).collect();
-        let gyro: Vec<f64> = (0..n).map(|_| 0.5 + 0.05).collect(); // 0.05 rad/s bias
-        let mag: Vec<f64> = truth
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| t + 0.2 * ((i * 7919 % 100) as f64 / 100.0 - 0.5))
-            .collect();
-        let fused = complementary_orientation(&gyro, &mag, fs, 0.02);
-        let gyro_only = integrate_gyro(&gyro, fs, 0.0);
-        let err = |track: &[f64]| -> f64 {
-            track
-                .iter()
-                .zip(&truth)
-                .map(|(a, b)| (a - b).abs())
-                .sum::<f64>()
-                / n as f64
-        };
-        // Pure gyro drifts (bias × time ≈ 0.25 rad mean); fused stays tight.
-        assert!(err(&gyro_only) > 0.15, "gyro drifts: {}", err(&gyro_only));
-        assert!(err(&fused) < 0.08, "fused tracks truth: {}", err(&fused));
-    }
-
-    #[test]
-    fn complementary_extremes() {
-        let gyro = vec![1.0; 10];
-        let mag = vec![0.5; 10];
-        // blend = 1: output equals the magnetometer exactly.
-        let pure_mag = complementary_orientation(&gyro, &mag, 10.0, 1.0);
-        assert!(pure_mag.iter().all(|&v| (v - 0.5).abs() < 1e-12));
-        // blend = 0: pure gyro integration from the magnetometer's start.
-        let pure_gyro = complementary_orientation(&gyro, &mag, 10.0, 0.0);
-        assert!((pure_gyro[9] - (0.5 + 1.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "blend")]
-    fn complementary_rejects_bad_blend() {
-        let _ = complementary_orientation(&[0.0], &[0.0], 10.0, 1.5);
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //!
 //! Every message is one frame: a `u32` big-endian body length followed
 //! by the body. Bodies start with a one-byte message tag. An ingest
-//! carries the session id and a [`SyncedSample`] in the same compact
-//! encoding the capture storage format uses
-//! ([`SyncedSample::encode`]), so a capture file can be replayed onto
-//! the wire without transcoding. Responses carry the admission decision
+//! carries the session id and a [`SyncedSample`]
+//! ([`SyncedSample::encode`]): a `u32` antenna count, then the per-sample
+//! block a capture file stores. The two differ in that block's frame: a
+//! capture writes the sample index as its `seq` and t/fs as its
+//! timestamp, while the wire writes the sample's own `seq` and timestamp
+//! 0.0, and a capture states the antenna count once in its header, so
+//! replaying a capture onto the wire re-encodes each sample. Responses carry the admission decision
 //! plus any events the session has emitted since the last response;
 //! floats travel as raw IEEE-754 bits, so estimates cross the wire
 //! bit-identically.
@@ -143,7 +146,7 @@ impl Request {
             Request::Ingest { session_id, sample } => {
                 body.put_u8(tag::INGEST);
                 body.put_u64(*session_id);
-                body.put_slice(&sample.encode());
+                sample.encode(&mut body);
             }
             Request::IngestImu {
                 session_id,

@@ -344,6 +344,12 @@ proptest! {
         let admit = body_of(&Response::Admit { admit: Admit::Accepted, events: gen.events() }.encode());
         let finished = body_of(&Response::Finished { events: gen.events() }.encode());
         let text = body_of(&Response::MetricsSnapshot { text: "# rim-serve metrics v1\n".into() }.encode());
+        // A presence byte other than 0 or 1 (the sample's first, after
+        // the tag, session id and antenna count) is a payload error too.
+        let mut presence = sample.clone();
+        presence[1 + 8 + 4] = 2 + gen.below(254) as u8;
+        let err = bounded_alloc(presence.len(), || Request::decode(&presence).err());
+        prop_assert_eq!(err, Some(WireError::Payload(DecodeError::BadDimension)));
         for (mut body, at, request) in [
             (imu, 1 + 8, true),
             (sample, 1 + 8, true),
